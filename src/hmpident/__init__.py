@@ -15,7 +15,7 @@ from .strings import check_binary, string_index, strings_of_length, strings_up_t
 from .distribution import (StringDistribution, validate, marginalize,
                            prefix_probability, is_stationary,
                            load_distribution, save_distribution)
-from .hmp import (HmpParams, ObservableSplit, split, string_probability,
+from .hmp import (HmpParams, split, string_probability,
                   full_distribution, vandermonde_example, random_stochastic,
                   permute_states, equivalent_up_to_permutation,
                   free_parameters, from_free_parameters, validate_params,

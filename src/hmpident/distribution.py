@@ -10,14 +10,14 @@ built and inspected without passing validation first.
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 from .errors import (LengthError, MissingKeyError, NegativeEntryError,
-                     EntryOutOfRangeError, SumNotOneError)
+                     EntryOutOfRangeError, NonFiniteError, SumNotOneError)
 from .jsonio import write_json
-from .strings import check_binary, string_index, strings_of_length
+from .strings import check_binary, string_index, string_name, strings_of_length
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 
@@ -29,8 +29,7 @@ class StringDistribution:
 
     def __post_init__(self, tol):
         tol = tol or DEFAULT_TOLERANCES
-        if not isinstance(self.n, int) or self.n < 1:
-            raise LengthError(f"string length must be a positive integer, got {self.n}")
+        _check_length(self.n)
         table = np.array(self.table, dtype=float)
         if table.shape != (2 ** self.n,):
             raise MissingKeyError(
@@ -52,29 +51,38 @@ class StringDistribution:
     @classmethod
     def from_dict(cls, n: int, probabilities: dict,
                   tol: ToleranceConfig | None = None) -> "StringDistribution":
-        expected = strings_of_length(n)
-        missing = [v for v in expected if v not in probabilities]
-        if missing:
-            raise MissingKeyError(f"missing {len(missing)} keys, first: {missing[0]!r}")
-        extra = sorted(set(probabilities) - set(expected))
-        if extra:
-            raise MissingKeyError(f"unexpected keys, first: {extra[0]!r}")
-        table = np.array([float(probabilities[v]) for v in expected])
+        _check_length(n)
+        if not isinstance(probabilities, dict):
+            raise MissingKeyError(f"probabilities is a {type(probabilities).__name__}, not a dict")
+        count = len(probabilities)
+        if count.bit_length() != n + 1 or count != 2 ** n:   # a huge n allocates nothing
+            raise MissingKeyError(f"expected 2^{n} keys, got {count}")
+        # 2^n distinct binary keys of length n hit every index exactly once
+        table = np.empty(2 ** n)
+        for key, p in probabilities.items():
+            if not isinstance(key, str) or len(key) != n or key.strip("01"):
+                raise MissingKeyError(f"unexpected key {key!r} for length {n}")
+            if isinstance(p, bool) or not isinstance(p, (int, float, np.integer, np.floating)):
+                raise NonFiniteError(f"p({key}) = {p!r} is not a number")
+            table[int(key, 2)] = p
         return cls(n, table, tol)
+
+
+def _check_length(n):
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise LengthError(f"string length must be a positive integer, got {n!r}")
 
 
 def validate(dist: StringDistribution, tol: ToleranceConfig | None = None):
     """Check entry range and unit sum; raise the first violated invariant."""
     tol = tol or DEFAULT_TOLERANCES
-    names = strings_of_length(dist.n)
-    below = np.flatnonzero(dist.table < -tol.tol_entry)
-    if below.size:
-        i = below[0]
-        raise NegativeEntryError(f"p({names[i]}) = {dist.table[i]} is negative")
-    above = np.flatnonzero(dist.table > 1.0 + tol.tol_entry)
-    if above.size:
-        i = above[0]
-        raise EntryOutOfRangeError(f"p({names[i]}) = {dist.table[i]} exceeds 1")
+    table = dist.table
+    for bad, error, what in ((~np.isfinite(table), NonFiniteError, "is not finite"),
+                             (table < -tol.tol_entry, NegativeEntryError, "is negative"),
+                             (table > 1.0 + tol.tol_entry, EntryOutOfRangeError, "exceeds 1")):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise error(f"p({string_name(i, dist.n)}) = {table[i]} {what}")
     total = float(dist.table.sum())
     if abs(total - 1.0) > tol.tol_sum:
         raise SumNotOneError(f"table sums to {total}, not 1")
@@ -109,17 +117,13 @@ def is_stationary(dist: StringDistribution, tol: ToleranceConfig | None = None) 
     return float(np.max(np.abs(drop_last - drop_first))) <= tol.tol_stat
 
 
-def distribution_to_jsonable(dist: StringDistribution) -> dict:
-    return {"n": dist.n, "probabilities": dist.to_dict()}
-
-
 def save_distribution(dist: StringDistribution, path):
-    write_json(distribution_to_jsonable(dist), path)
+    write_json({"n": dist.n, "probabilities": dist.to_dict()}, path)
 
 
 def load_distribution(path, tol: ToleranceConfig | None = None) -> StringDistribution:
     with open(path) as fh:
         payload = json.load(fh)
-    if "n" not in payload or "probabilities" not in payload:
+    if not isinstance(payload, dict) or "n" not in payload or "probabilities" not in payload:
         raise MissingKeyError("distribution JSON needs 'n' and 'probabilities'")
-    return StringDistribution.from_dict(int(payload["n"]), payload["probabilities"], tol)
+    return StringDistribution.from_dict(payload["n"], payload["probabilities"], tol)

@@ -25,6 +25,10 @@ class SumNotOneError(ValidationError):
     """The table entries do not sum to 1 within tolerance."""
 
 
+class NonFiniteError(ValidationError):
+    """A number that must be finite is NaN or infinite, or is not a number at all."""
+
+
 class InvalidParamsError(ValidationError):
     """Transition/emission/initial data is not row-stochastic within tolerance."""
 

@@ -23,12 +23,13 @@ from .distribution import StringDistribution
 from .errors import (CapExceededError, DimensionMismatchError,
                      DuplicateEigenvalueError, InvalidParamsError,
                      InvalidPermutationError, StateCountTooLargeError)
+from .finitary import FinitaryParams, finitary_probability
 from .jsonio import write_json
-from .strings import check_binary
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 FULL_TABLE_CAP = 24          # 2^24 doubles is the largest table we will expand
 PERMUTATION_SEARCH_CAP = 8   # d! comparisons; 8! = 40320 is still fine
+DET_FLOOR = 1e-10            # |det(A)| below DET_FLOOR * scale^d counts as singular
 
 
 @dataclass(frozen=True)
@@ -57,42 +58,55 @@ class HmpParams:
         object.__setattr__(self, "initial", pi)
 
 
-@dataclass(frozen=True)
-class ObservableSplit:
-    t0: np.ndarray
-    t1: np.ndarray
+def stochastic_violation(params: HmpParams) -> tuple[float, str | None]:
+    """Worst distance from row-stochastic form (inf for a non-finite entry), and where."""
+    violation, witness = 0.0, None
+    for name in ("transition", "emission", "initial"):
+        arr = np.atleast_2d(getattr(params, name))
+        outside = np.abs(arr - np.clip(arr, 0.0, 1.0))
+        outside[~np.isfinite(arr)] = np.inf
+        if outside.max() > violation:
+            violation = float(outside.max())
+            idx = np.unravel_index(int(np.argmax(outside)), arr.shape)
+            witness = f"{name}[{','.join(map(str, idx))}] = {arr[idx]:.6g}"
+        row_err = float(np.max(np.abs(arr.sum(axis=1) - 1.0)))
+        if row_err > violation:
+            violation = row_err
+            worst = int(np.argmax(np.abs(arr.sum(axis=1) - 1.0)))
+            witness = f"{name} row {worst} sums to {arr.sum(axis=1)[worst]:.6g}"
+    return violation, witness
 
 
 def validate_params(params: HmpParams, tol: ToleranceConfig | None = None):
     """Row-stochasticity of transition, emission and initial within tol_stochastic."""
     tol = tol or DEFAULT_TOLERANCES
-    slack = tol.tol_stochastic
-    checks = [("transition", params.transition), ("emission", params.emission),
-              ("initial", params.initial.reshape(1, -1))]
-    for name, arr in checks:
-        if np.any(arr < -slack) or np.any(arr > 1.0 + slack):
-            worst = arr.flat[int(np.argmax(np.abs(arr - np.clip(arr, 0.0, 1.0))))]
-            raise InvalidParamsError(f"{name} entry {worst} outside [0, 1]")
-        sums = arr.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > slack):
-            row = int(np.argmax(np.abs(sums - 1.0)))
-            raise InvalidParamsError(f"{name} row {row} sums to {sums[row]}, not 1")
+    violation, witness = stochastic_violation(params)
+    if violation > tol.tol_stochastic:
+        raise InvalidParamsError(witness)
 
 
-def split(params: HmpParams) -> ObservableSplit:
-    """Symbol operators T_a = diag(E[:, a]) M; they satisfy T_0 + T_1 = M."""
+def min_pairwise_gap(values: np.ndarray) -> float:
+    """Smallest |a - b| over pairs of distinct positions; inf for fewer than two values."""
+    diff = np.abs(values[:, None] - values[None, :])
+    return float(diff[~np.eye(values.size, dtype=bool)].min(initial=np.inf))
+
+
+def determinant_check(matrix: np.ndarray) -> tuple[float, bool]:
+    """det(matrix), and whether it clears DET_FLOOR * scale^d, scale the largest |entry|."""
+    det = float(np.linalg.det(matrix))
+    scale = float(np.max(np.abs(matrix)))
+    return det, scale > 0.0 and abs(det) >= DET_FLOOR * scale ** len(matrix)
+
+
+def split(params: HmpParams) -> FinitaryParams:
+    """Symbol operators T_a = diag(E[:, a]) M, with T_0 + T_1 = M, and x = pi."""
     t0 = params.emission[:, 0][:, None] * params.transition
     t1 = params.emission[:, 1][:, None] * params.transition
-    return ObservableSplit(t0, t1)
+    return FinitaryParams(params.d, t0, t1, params.initial)
 
 
 def string_probability(params: HmpParams, v: str) -> float:
-    check_binary(v)
-    ops = split(params)
-    x = params.initial
-    for a in v:
-        x = x @ (ops.t0 if a == "0" else ops.t1)
-    return float(x.sum())
+    return finitary_probability(split(params), v)
 
 
 def full_distribution(params: HmpParams, n: int,
@@ -125,10 +139,9 @@ def vandermonde_example(d: int, lambdas) -> HmpParams:
         raise DimensionMismatchError(f"need {d} values, got shape {lam.shape}")
     if np.any(lam <= 0.0) or np.any(lam >= 1.0):
         raise InvalidParamsError("emission probabilities must lie strictly inside (0, 1)")
-    if d > 1:
-        gaps = np.abs(lam[:, None] - lam[None, :])[~np.eye(d, dtype=bool)]
-        if gaps.min() < 1e-12:
-            raise DuplicateEigenvalueError(f"minimal gap {gaps.min()} below 1e-12")
+    gap = min_pairwise_gap(lam)
+    if gap < 1e-12:
+        raise DuplicateEigenvalueError(f"minimal gap {gap} below 1e-12")
     return HmpParams(d, np.eye(d), np.column_stack([lam, 1.0 - lam]), np.full(d, 1.0 / d))
 
 

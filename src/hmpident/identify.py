@@ -19,7 +19,7 @@ import numpy as np
 from .distribution import StringDistribution, validate
 from .errors import (DegenerateNormalizationError, RankDeficientError,
                      WrongVerdictError)
-from .finitary import finitary_probability, infer_finitary
+from .finitary import infer_finitary
 from .hankel import RankReport, hankel_block, numerical_rank
 from .hmp import HmpParams, full_distribution, params_to_jsonable
 from .recover import (NOT_GENERIC, NOT_STOCHASTIC, RECOVERED, RecoveryOutcome,

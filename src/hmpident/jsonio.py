@@ -6,7 +6,11 @@ parser unchanged.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import NonFiniteError
 
 
 def _render(obj, pieces: list, indent: int):
@@ -38,6 +42,8 @@ def _render(obj, pieces: list, indent: int):
     elif isinstance(obj, (int, np.integer)):
         pieces.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise NonFiniteError(f"cannot write {obj} as a JSON number")
         pieces.append(format(float(obj), ".17g"))
     elif isinstance(obj, str):
         import json

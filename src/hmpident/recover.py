@@ -14,19 +14,18 @@ the input distribution is not an HMP of this dimension.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .finitary import FinitaryParams
-from .hmp import HmpParams
+from .hmp import HmpParams, determinant_check, min_pairwise_gap, stochastic_violation
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 RECOVERED = "recovered"
 NOT_GENERIC = "not_generic"
 NOT_STOCHASTIC = "not_stochastic"
 
-DET_FLOOR = 1e-10            # |det(T0+T1)| below DET_FLOOR * scale^e counts as singular
 RESCALE_FLOOR = 1e-12        # entries of U^(-1) 1 below this block the unit-sum rescaling
 
 
@@ -48,13 +47,6 @@ class RecoveryOutcome:
     diagnostics: RecoveryDiagnostics
 
 
-def _min_pairwise_gap(values: np.ndarray) -> float:
-    if values.size < 2:
-        return float("inf")
-    diff = np.abs(values[:, None] - values[None, :])
-    return float(diff[~np.eye(values.size, dtype=bool)].min())
-
-
 def recover_hmm(fp: FinitaryParams, tol: ToleranceConfig | None = None,
                 eigenvalue_order=None) -> RecoveryOutcome:
     """Attempt the change of basis back to hidden-state coordinates.
@@ -66,10 +58,9 @@ def recover_hmm(fp: FinitaryParams, tol: ToleranceConfig | None = None,
     tol = tol or DEFAULT_TOLERANCES
     e = fp.e
     mixed = fp.t0 + fp.t1
-    det_mixed = float(np.linalg.det(mixed))
-    scale = float(np.max(np.abs(mixed)))
+    det_mixed, invertible = determinant_check(mixed)
     bare = RecoveryDiagnostics((), float("inf"), det_mixed)
-    if scale == 0.0 or abs(det_mixed) < DET_FLOOR * scale ** e:
+    if not invertible:
         return RecoveryOutcome(NOT_GENERIC, None, "M not invertible", bare)
     try:
         q = fp.t0 @ np.linalg.inv(mixed)
@@ -82,7 +73,7 @@ def recover_hmm(fp: FinitaryParams, tol: ToleranceConfig | None = None,
         order = order[np.asarray(eigenvalue_order)]
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
-    gap = _min_pairwise_gap(eigvals)
+    gap = min_pairwise_gap(eigvals)
     diag = RecoveryDiagnostics(tuple(eigvals), gap, det_mixed)
     if gap < tol.eig_gap_tol:
         return RecoveryOutcome(NOT_GENERIC, None, "eigenvalues not pairwise different", diag)
@@ -105,41 +96,21 @@ def recover_hmm(fp: FinitaryParams, tol: ToleranceConfig | None = None,
 
     pieces = np.concatenate([m.ravel(), pi.ravel(), eigvals])
     max_imag = float(np.max(np.abs(pieces.imag)))
-    diag = RecoveryDiagnostics(tuple(eigvals), gap, det_mixed,
-                               max_imag=max_imag, o1_residual=o1_residual)
+    diag = replace(diag, max_imag=max_imag, o1_residual=o1_residual)
     if max_imag > tol.tol_stochastic:
         return RecoveryOutcome(
             NOT_STOCHASTIC, None,
             f"complex entries survive (max imaginary part {max_imag:.3e})", diag)
 
-    m = m.real
-    pi = pi.real
     lam = eigvals.real
-    emission = np.column_stack([lam, 1.0 - lam])
-    violation = 0.0
-    witness = None
-    for name, arr in (("transition", m), ("emission", emission),
-                      ("initial", pi.reshape(1, -1))):
-        outside = np.abs(arr - np.clip(arr, 0.0, 1.0))
-        if outside.max() > violation:
-            violation = float(outside.max())
-            idx = np.unravel_index(int(np.argmax(outside)), arr.shape)
-            witness = f"{name}[{','.join(map(str, idx))}] = {arr[idx]:.6g}"
-        row_err = float(np.max(np.abs(arr.sum(axis=1) - 1.0)))
-        if row_err > violation:
-            violation = row_err
-            worst = int(np.argmax(np.abs(arr.sum(axis=1) - 1.0)))
-            witness = f"{name} row {worst} sums to {arr.sum(axis=1)[worst]:.6g}"
-    diag = RecoveryDiagnostics(tuple(eigvals), gap, det_mixed, max_imag=max_imag,
-                               max_stochastic_violation=violation,
-                               o1_residual=o1_residual)
+    raw = HmpParams(e, m.real, np.column_stack([lam, 1.0 - lam]), pi.real)
+    violation, witness = stochastic_violation(raw)
+    diag = replace(diag, max_stochastic_violation=violation)
     if violation > tol.tol_stochastic:
         return RecoveryOutcome(NOT_STOCHASTIC, None, witness, diag)
 
-    e0 = np.clip(lam, 0.0, 1.0)
-    params = HmpParams(e, np.clip(m, 0.0, 1.0),
-                       np.column_stack([e0, 1.0 - e0]),
-                       np.clip(pi, 0.0, 1.0))
+    params = HmpParams(e, np.clip(raw.transition, 0.0, 1.0), np.clip(raw.emission, 0.0, 1.0),
+                       np.clip(raw.initial, 0.0, 1.0))
     return RecoveryOutcome(RECOVERED, params, None, diag)
 
 
@@ -158,8 +129,6 @@ def genericity_report(params: HmpParams, tol: ToleranceConfig | None = None) -> 
     the induced distribution is a separate matter, caught by the rank tests.
     """
     tol = tol or DEFAULT_TOLERANCES
-    det = float(np.linalg.det(params.transition))
-    scale = float(np.max(np.abs(params.transition)))
-    invertible = scale > 0.0 and abs(det) >= DET_FLOOR * scale ** params.d
-    gap = _min_pairwise_gap(params.emission[:, 0].astype(complex))
+    det, invertible = determinant_check(params.transition)
+    gap = min_pairwise_gap(params.emission[:, 0].astype(complex))
     return GenericityReport(bool(invertible and gap > tol.eig_gap_tol), det, gap)

@@ -1,15 +1,13 @@
 """Canonical enumeration of binary strings.
 
 Strings over {0, 1} are ordered shortest first, lexicographically within each
-length, with the empty string first.  For a fixed length this coincides with
-numeric order of the string read as a base-2 integer, which is what the
-index-based table layout relies on.
+length, with the empty string first.  The string of length L at index i is
+2^L + i in base 2 without its leading 1, so the canonical order is the order
+of those integers; the index-based table layout relies on this.
 """
 from __future__ import annotations
 
 from .errors import AlphabetError
-
-ALPHABET = "01"
 
 
 def check_binary(v: str):
@@ -23,15 +21,15 @@ def string_index(v: str) -> int:
     return int(v, 2) if v else 0
 
 
+def string_name(index: int, length: int) -> str:
+    """The string of the given length whose base-2 value is index."""
+    return format(2 ** length + index, "b")[1:]
+
+
 def strings_of_length(length: int) -> list[str]:
-    if length == 0:
-        return [""]
-    return [format(i, f"0{length}b") for i in range(2 ** length)]
+    return [format(i, "b")[1:] for i in range(2 ** length, 2 ** (length + 1))]
 
 
 def strings_up_to(max_len: int) -> list[str]:
     """All 2^(max_len+1) - 1 strings of length <= max_len, canonical order."""
-    out = []
-    for length in range(max_len + 1):
-        out.extend(strings_of_length(length))
-    return out
+    return [format(i, "b")[1:] for i in range(1, 2 ** (max_len + 1))]

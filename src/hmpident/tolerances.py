@@ -1,7 +1,10 @@
 """Numerical tolerances shared across the pipeline."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+
+from .errors import NonFiniteError
 
 
 @dataclass(frozen=True)
@@ -15,12 +18,13 @@ class ToleranceConfig:
     eig_gap_tol: float = 1e-7       # minimal pairwise eigenvalue distance treated as distinct
 
     def __post_init__(self):
-        for name in ("rel_rank_tol", "tol_sum", "tol_entry", "tol_stat",
-                     "tol_stochastic", "eig_gap_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.gap_ratio <= 1:
-            raise ValueError("gap_ratio must exceed 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            floor = 1 if f.name == "gap_ratio" else 0
+            if not math.isfinite(value):
+                raise NonFiniteError(f"{f.name} must be finite, got {value}")
+            if value <= floor:
+                raise ValueError(f"{f.name} must exceed {floor}")
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()

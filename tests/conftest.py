@@ -1,7 +1,20 @@
 """Shared constructions used across the test modules."""
+import os
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 import hmpident as hi
+
+
+@pytest.fixture(autouse=True, scope="session")
+def child_interpreters_import_this_package():
+    """Subprocesses (the CLI entry point, the demos) import the package under test."""
+    root = str(Path(hi.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 def fair_coin_params() -> hi.HmpParams:

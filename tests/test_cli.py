@@ -139,3 +139,46 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert hi.__version__ in proc.stdout
+
+
+UNIFORM_3 = {format(i, "03b"): 0.125 for i in range(8)}
+
+
+@pytest.mark.parametrize("payload", [
+    {"n": 3.7, "probabilities": UNIFORM_3},
+    {"n": [3], "probabilities": UNIFORM_3},
+    {"n": True, "probabilities": {"0": 0.5, "1": 0.5}},
+    {"n": 1, "probabilities": 5},
+    {"n": 1, "probabilities": {"0": None, "1": 1.0}},
+    {"n": 1, "probabilities": {"0": float("nan"), "1": 1.0}},
+    {"n": 1, "probabilities": {"0": 0.5, "2": 0.5}},
+    [1, 3],
+])
+def test_malformed_distribution_is_an_error(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main(["identify", "--dist", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_non_finite_params_are_an_error(tmp_path, capsys):
+    path = tmp_path / "params.json"
+    path.write_text('{"d": 1, "transition": [[1.0]], "emission": [[NaN, 0.5]], "initial": [1.0]}')
+    assert main(["simulate", "--params", str(path), "--length", "2",
+                 "--out", str(tmp_path / "dist.json")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_identify_path_builds_no_string_table(tmp_path, monkeypatch):
+    # string names belong in files and error messages; reading a table and
+    # deciding it must not enumerate all 2^n of them
+    dist_path = str(tmp_path / "dist.json")
+    hi.save_distribution(hi.full_distribution(hi.random_stochastic(2, 5), 4), dist_path)
+
+    def refuse(length):
+        raise AssertionError(f"strings_of_length({length}) called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hmpident" and hasattr(module, "strings_of_length"):
+            monkeypatch.setattr(module, "strings_of_length", refuse)
+    assert main(["identify", "--dist", dist_path, "--out", str(tmp_path / "verdict.json")]) == 0

@@ -5,7 +5,7 @@ import pytest
 
 import hmpident as hi
 from hmpident.errors import (EntryOutOfRangeError, LengthError, MissingKeyError,
-                             NegativeEntryError, SumNotOneError)
+                             NegativeEntryError, NonFiniteError, SumNotOneError)
 from conftest import fair_coin_params
 
 
@@ -183,3 +183,39 @@ def test_validate_accepts_simulated_tables():
     for d in (1, 2, 3, 4):
         params = hi.random_stochastic(d, 17 + d)
         hi.validate(hi.full_distribution(params, 5))
+
+
+def test_validate_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf, -np.inf):
+        dist = hi.StringDistribution(2, np.array([0.25, bad, 0.25, 0.25]))
+        with pytest.raises(NonFiniteError, match=r"p\(01\)"):
+            hi.validate(dist)
+
+
+def test_from_dict_rejects_malformed_payloads():
+    good = {"00": 0.25, "01": 0.25, "10": 0.25, "11": 0.25}
+    for n in (2.0, 3.7, True, [2], "2", None, 0):
+        with pytest.raises(LengthError):
+            hi.StringDistribution.from_dict(n, good)
+    for probabilities in (5, [0.25] * 4, None):
+        with pytest.raises(MissingKeyError):
+            hi.StringDistribution.from_dict(2, probabilities)
+    # a declared length far beyond the key count fails before any allocation
+    with pytest.raises(MissingKeyError):
+        hi.StringDistribution.from_dict(10 ** 12, good)
+    # int(key, 2) would accept "+1" and " 1"; keys must be exactly n binary digits
+    for key in ("+1", " 1", "1 ", "0b", "111", 3):
+        payload = {k: v for k, v in good.items() if k != "11"}
+        payload[key] = 0.25
+        with pytest.raises(MissingKeyError):
+            hi.StringDistribution.from_dict(2, payload)
+    for value in (None, "0.25", True, [0.25]):
+        with pytest.raises(NonFiniteError):
+            hi.StringDistribution.from_dict(2, dict(good, **{"11": value}))
+
+
+def test_from_dict_accepts_any_key_order_and_numeric_type():
+    dist = hi.StringDistribution.from_dict(2, {"11": 0.4, "00": 0.1, "10": 0.3, "01": 0.2})
+    assert np.array_equal(dist.table, [0.1, 0.2, 0.3, 0.4])
+    dist = hi.StringDistribution.from_dict(1, {"1": np.float32(0.5), "0": np.int64(0)})
+    assert np.array_equal(dist.table, [0.0, 0.5])

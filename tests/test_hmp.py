@@ -260,3 +260,12 @@ def test_params_shape_errors():
         hi.HmpParams(2, np.eye(3), np.full((2, 2), 0.5), np.array([0.5, 0.5]))
     with pytest.raises(InvalidParamsError):
         hi.HmpParams(2, np.full((2, 2), 0.5), np.full((2, 3), 0.5), np.array([0.5, 0.5]))
+
+
+def test_validate_params_rejects_non_finite():
+    with pytest.raises(InvalidParamsError, match="nan"):
+        hi.validate_params(hi.HmpParams(2, np.array([[np.nan, 0.5], [0.5, 0.5]]),
+                                        np.full((2, 2), 0.5), np.array([0.5, 0.5])))
+    with pytest.raises(InvalidParamsError, match="inf"):
+        hi.validate_params(hi.HmpParams(1, np.eye(1), np.array([[0.5, 0.5]]),
+                                        np.array([np.inf])))

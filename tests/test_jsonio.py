@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hmpident.errors import NonFiniteError
 from hmpident.jsonio import dumps, write_json
 
 
@@ -42,3 +43,9 @@ def test_write_json_file(tmp_path):
     text = path.read_text()
     assert text.endswith("\n")
     assert json.loads(text) == {"x": [0.1, 0.2]}
+
+
+def test_rejects_non_finite_floats():
+    for value in (float("nan"), float("inf"), -float("inf"), np.float64("nan")):
+        with pytest.raises(NonFiniteError):
+            dumps({"x": [value]})

@@ -1,5 +1,6 @@
 """Cross-module invariants checked over seeded random draws."""
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 import hmpident as hi
 
@@ -84,3 +85,64 @@ def test_hankel_factorization_of_hmp():
     left = np.array([params.initial @ op_product(v) for v in block.row_strings])
     right = np.array([op_product(w) @ np.ones(2) for w in block.col_strings]).T
     assert np.max(np.abs(left @ right - block.data)) <= 1e-12
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(alphabet="01ab +", max_size=4))
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                           max_leaves=8)
+
+
+@st.composite
+def near_payloads(draw):
+    """A complete small table with a few keys, values or n spoiled."""
+    n = draw(st.integers(1, 3))
+    keys = [format(i, f"0{n}b") for i in range(2 ** n)]
+    table = {k: draw(st.floats(0, 1) | JSON_SCALARS) for k in keys}
+    if draw(st.booleans()):
+        del table[draw(st.sampled_from(keys))]
+    table.update(draw(st.dictionaries(st.text(alphabet="01b +", max_size=4),
+                                      JSON_SCALARS, max_size=2)))
+    return draw(st.sampled_from([n, n, float(n), str(n), True])), table
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(payload=near_payloads() | st.tuples(JSON_VALUES | st.integers(-2, 4), JSON_VALUES))
+def test_from_dict_raises_only_package_errors(payload):
+    try:
+        hi.StringDistribution.from_dict(*payload)
+    except Exception as exc:  # the property is about which types escape
+        assert type(exc).__module__ == "hmpident.errors", repr(exc)
+
+
+def _kind_and_states(table, n):
+    verdict = hi.identify(hi.StringDistribution(n, table))
+    return verdict.kind, verdict.states
+
+
+@st.composite
+def generator_cases(draw):
+    d = draw(st.integers(1, 5))
+    n = 2 * d - 1 + draw(st.integers(0, 2))
+    params = hi.random_stochastic(d, draw(st.integers(0, 2 ** 32 - 1)))
+    return params, n, draw(st.permutations(range(d)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=generator_cases())
+def test_verdict_invariant_under_symbol_swap_and_relabeling(case):
+    params, n, sigma = case
+    table = hi.full_distribution(params, n).table
+    expected = _kind_and_states(table, n)
+    # swapping 0 and 1 in every string reverses the base-2 index order
+    assert _kind_and_states(table[::-1], n) == expected
+    moved = hi.full_distribution(hi.permute_states(params, sigma), n).table
+    assert _kind_and_states(moved, n) == expected
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
+def test_random_table_verdict_invariant_under_symbol_swap(n, seed):
+    table = random_table_distribution(n, seed).table
+    assert _kind_and_states(table[::-1], n) == _kind_and_states(table, n)

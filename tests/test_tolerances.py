@@ -1,7 +1,9 @@
 import dataclasses
+import math
 
 import pytest
 
+from hmpident.errors import NonFiniteError
 from hmpident.tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 
@@ -27,3 +29,10 @@ def test_validation():
     with pytest.raises(ValueError):
         ToleranceConfig(gap_ratio=1.0)
     ToleranceConfig(rel_rank_tol=1e-6, gap_ratio=2.0)
+
+
+def test_non_finite_rejected():
+    for name in ("rel_rank_tol", "gap_ratio", "tol_stochastic"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NonFiniteError):
+                ToleranceConfig(**{name: value})
