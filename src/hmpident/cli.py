@@ -36,22 +36,36 @@ EXIT_CANNOT_DECIDE = 3
 _VERDICT_EXITS = {HMP: EXIT_OK, NO_HMP: EXIT_NO_HMP, CANNOT_DECIDE: EXIT_CANNOT_DECIDE}
 
 
-def _add_tolerance_flags(parser: argparse.ArgumentParser):
-    defaults = DEFAULT_TOLERANCES
+# each subcommand takes a flag for exactly the tolerances its code path reads
+_MINORS_TOLERANCES = ("rel_rank_tol", "tol_sum", "tol_entry")
+_RANK_TOLERANCES = _MINORS_TOLERANCES + ("gap_ratio",)
+_IDENTIFY_TOLERANCES = _RANK_TOLERANCES + ("tol_stochastic", "eig_gap_tol")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse exits 2, which is the no_hmp code here
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _add_tolerance_flags(parser: argparse.ArgumentParser, names):
     for field in dataclasses.fields(ToleranceConfig):
-        flag = "--" + field.name.replace("_", "-")
-        parser.add_argument(flag, type=float, default=getattr(defaults, field.name),
-                            help=f"default {getattr(defaults, field.name)}")
+        if field.name in names:
+            default = getattr(DEFAULT_TOLERANCES, field.name)
+            parser.add_argument("--" + field.name.replace("_", "-"), type=float,
+                                default=default, help=f"default {default}")
 
 
 def _tolerances(args) -> ToleranceConfig:
-    kwargs = {f.name: getattr(args, f.name) for f in dataclasses.fields(ToleranceConfig)}
+    kwargs = {f.name: getattr(args, f.name) for f in dataclasses.fields(ToleranceConfig)
+              if hasattr(args, f.name)}
     return ToleranceConfig(**kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hmpident", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="hmpident", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -68,25 +82,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paper-literal", action="store_true",
                    help="report cannot-decide outcomes as no-HMP, the behavior of "
                         "the plain algorithm without genericity bookkeeping")
-    _add_tolerance_flags(p)
+    _add_tolerance_flags(p, _IDENTIFY_TOLERANCES)
 
     p = sub.add_parser("rank", help="report numerical ranks of the canonical Hankel blocks")
     p.add_argument("--dist", required=True)
     p.add_argument("--out", help="write the rank report JSON here")
-    _add_tolerance_flags(p)
+    _add_tolerance_flags(p, _RANK_TOLERANCES)
 
     p = sub.add_parser("minors", help="determinantal rank cross-check")
     p.add_argument("--dist", required=True)
     p.add_argument("--states", required=True, type=int, help="state count d to test")
     p.add_argument("--out", help="write the scan result JSON here")
-    _add_tolerance_flags(p)
+    _add_tolerance_flags(p, _MINORS_TOLERANCES)
 
     p = sub.add_parser("roundtrip", help="seeded generate/identify/compare experiment")
     p.add_argument("--states", required=True, type=int)
     p.add_argument("--length", required=True, type=int)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    _add_tolerance_flags(p)
+    _add_tolerance_flags(p, _IDENTIFY_TOLERANCES)
     return parser
 
 

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import StringDistribution, marginalize
+from .distribution import StringDistribution
 from .errors import DegenerateNormalizationError, LengthError
-from .hankel import select_basis
-from .strings import check_binary, string_index
+from .hankel import hankel_block, select_basis
+from .strings import check_binary
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 DEGENERATE_Y_FLOOR = 1e-12
@@ -49,31 +49,26 @@ class FinitaryInference:
     gram: np.ndarray
 
 
-def _lookup(marg, u: str) -> float:
-    return float(marg[len(u)][string_index(u)])
-
-
 def infer_finitary_detailed(dist: StringDistribution, e: int,
                             tol: ToleranceConfig | None = None) -> FinitaryInference:
     if dist.n < 2 * e - 1:
         raise LengthError(f"need n >= 2e-1 = {2 * e - 1}, got n = {dist.n}")
     tol = tol or DEFAULT_TOLERANCES
     v_strings, w_strings, gram = select_basis(dist, e, tol)
-    marg = [marginalize(dist, length) for length in range(2 * e)]
-    raw_x = np.array([_lookup(marg, w) for w in w_strings])
-    y = np.linalg.solve(gram, np.array([_lookup(marg, v) for v in v_strings]))
-    raw_ops = []
-    for a in "01":
-        w_a = np.array([[_lookup(marg, v + a + w) for w in w_strings]
-                        for v in v_strings])
-        raw_ops.append(np.linalg.solve(gram, w_a))
-    raw_t0, raw_t1 = raw_ops
+    # P_{p,e,e-1}: row 0 is the empty string, row 2r+1+a is row r followed by a
+    block = hankel_block(dist, e, e - 1)
+    rows = np.array([block.row_strings.index(v) for v in v_strings])
+    cols = np.array([block.col_strings.index(w) for w in w_strings])
+    raw_x = block.data[0, cols]
+    y = np.linalg.solve(gram, block.data[rows, 0])
 
     # S = I + (y - 1) e_j' maps 1 to y and has determinant y_j, so the pivot
     # entry of y must stay away from zero for the rescaling to exist.
     j = int(np.argmax(np.abs(y)))
     if abs(y[j]) < DEGENERATE_Y_FLOOR:
         raise DegenerateNormalizationError(f"fixed vector is numerically zero: {y}")
+    raw_t0, raw_t1 = (np.linalg.solve(gram, block.data[np.ix_(2 * rows + 1 + a, cols)])
+                      for a in (0, 1))
     s = np.eye(e)
     s[:, j] += y - 1.0
     t0 = np.linalg.solve(s, raw_t0 @ s)

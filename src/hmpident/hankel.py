@@ -2,11 +2,12 @@
 
 The block P_{p,m,k} has one row per string v with len(v) <= m, one column per
 string w with len(w) <= k, and entry p(vw).  Strings are ordered shortest
-first, lexicographically within a length, empty string first.  The rank of
-these blocks is what separates processes generated by a small hidden state
-space from everything else, so rank estimation carries a confidence flag: a
-singular value sitting close to the cut means the decision should not be
-trusted either way.
+first, lexicographically within a length, empty string first.  So P_{p,m,k} is
+the leading (2^(m+1)-1) x (2^(k+1)-1) corner of any larger block, and row r
+followed by symbol a is row 2r+1+a.  The rank of these blocks is what separates
+processes generated by a small hidden state space from everything else, so
+rank estimation carries a confidence flag: a singular value sitting close to
+the cut means the decision should not be trusted either way.
 """
 from __future__ import annotations
 
@@ -51,6 +52,11 @@ def hankel_block(dist: StringDistribution, m: int, k: int) -> HankelBlock:
                  2 ** lw - 1: 2 ** (lw + 1) - 1] = sub
     data.setflags(write=False)
     return HankelBlock(tuple(strings_up_to(m)), tuple(strings_up_to(k)), data)
+
+
+def corner(data: np.ndarray, m: int, k: int) -> np.ndarray:
+    """The entries of P_{p,m,k}, sliced out of the data of any block at least that large."""
+    return data[:2 ** (m + 1) - 1, :2 ** (k + 1) - 1]
 
 
 def numerical_rank(matrix, tol: ToleranceConfig | None = None) -> RankReport:

@@ -40,7 +40,7 @@ class HmpParams:
     initial: np.ndarray      # length d
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 1:
+        if isinstance(self.d, bool) or not isinstance(self.d, int) or self.d < 1:
             raise InvalidParamsError(f"state count must be a positive integer, got {self.d}")
         m = np.array(self.transition, dtype=float)
         e = np.array(self.emission, dtype=float)
@@ -213,10 +213,12 @@ def params_to_jsonable(params: HmpParams) -> dict:
 
 
 def params_from_jsonable(payload: dict) -> HmpParams:
+    if not isinstance(payload, dict):
+        raise InvalidParamsError(f"parameter JSON must be an object, got {type(payload).__name__}")
     for key in ("d", "transition", "emission", "initial"):
         if key not in payload:
             raise InvalidParamsError(f"parameter JSON needs key {key!r}")
-    return HmpParams(int(payload["d"]), np.array(payload["transition"], dtype=float),
+    return HmpParams(payload["d"], np.array(payload["transition"], dtype=float),
                      np.array(payload["emission"], dtype=float),
                      np.array(payload["initial"], dtype=float))
 

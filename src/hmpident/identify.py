@@ -20,7 +20,7 @@ from .distribution import StringDistribution, validate
 from .errors import (DegenerateNormalizationError, RankDeficientError,
                      WrongVerdictError)
 from .finitary import infer_finitary
-from .hankel import RankReport, hankel_block, numerical_rank
+from .hankel import RankReport, corner, hankel_block, numerical_rank
 from .hmp import HmpParams, full_distribution, params_to_jsonable
 from .recover import (NOT_GENERIC, NOT_STOCHASTIC, RECOVERED, RecoveryOutcome,
                       recover_hmm)
@@ -67,12 +67,15 @@ def identify(dist: StringDistribution, max_states: int | None = None,
     if not 1 <= max_states <= cap:
         raise ValueError(f"max_states must be in [1, {cap}] for n = {n}, got {max_states}")
 
-    wide = numerical_rank(hankel_block(dist, n // 2, (n + 1) // 2).data, tol)
+    # tall first, so the wide block, whose corners are the small blocks, is
+    # never alive together with it
     tall = numerical_rank(hankel_block(dist, (n + 1) // 2, n // 2).data, tol)
+    wide_data = hankel_block(dist, n // 2, (n + 1) // 2).data
+    wide = numerical_rank(wide_data, tol)
     trace = []
 
     for e in range(1, max_states + 1):
-        small = numerical_rank(hankel_block(dist, e - 1, e - 1).data, tol)
+        small = numerical_rank(corner(wide_data, e - 1, e - 1), tol)
         if not (small.confident and wide.confident and tall.confident):
             trace.append(TraceEntry(e, small, wide, tall, None, "borderline rank"))
             return Verdict(CANNOT_DECIDE, e, None, "borderline rank", tuple(trace))

@@ -182,3 +182,43 @@ def test_identify_path_builds_no_string_table(tmp_path, monkeypatch):
         if name.split(".")[0] == "hmpident" and hasattr(module, "strings_of_length"):
             monkeypatch.setattr(module, "strings_of_length", refuse)
     assert main(["identify", "--dist", dist_path, "--out", str(tmp_path / "verdict.json")]) == 0
+
+
+@pytest.mark.parametrize("text", [
+    "7",
+    '{"d": 1.9, "transition": [[1.0]], "emission": [[0.5, 0.5]], "initial": [1.0]}',
+    '{"d": true, "transition": [[1.0]], "emission": [[0.5, 0.5]], "initial": [1.0]}',
+])
+def test_malformed_params_are_an_error(tmp_path, capsys, text):
+    path = tmp_path / "params.json"
+    path.write_text(text)
+    out_path = tmp_path / "dist.json"
+    assert main(["simulate", "--params", str(path), "--length", "2",
+                 "--out", str(out_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["identify"],
+    ["identify", "--dist", "d.json", "--bogus"],
+    ["identify", "--dist", "d.json", "--max-states", "abc"],
+    ["identify", "--dist", "d.json", "--tol-stat", "1e-3"],
+    ["roundtrip", "--states", "2", "--length", "3", "--tol-stat", "1e-3"],
+    ["rank", "--dist", "d.json", "--eig-gap-tol", "1e-3"],
+    ["rank", "--dist", "d.json", "--tol-stochastic", "1e-3"],
+    ["minors", "--dist", "d.json", "--states", "2", "--gap-ratio", "3"],
+])
+def test_usage_errors_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_flag_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["rank", "-h"])
+    assert info.value.code == 0
+    assert "--gap-ratio" in capsys.readouterr().out

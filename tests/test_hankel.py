@@ -3,6 +3,7 @@ import pytest
 
 import hmpident as hi
 from hmpident.errors import LengthError, RankDeficientError
+from hmpident.hankel import corner
 from conftest import control_distribution, fair_coin_distribution
 
 
@@ -147,3 +148,24 @@ def test_select_basis_gram_holds_original_entries():
 def test_select_basis_rank_deficient():
     with pytest.raises(RankDeficientError):
         hi.select_basis(fair_coin_distribution(3), 2)
+
+
+def test_small_blocks_are_corners_of_larger_blocks():
+    for n, seed in ((5, 0), (5, 1), (6, 2)):
+        dist = random_table_distribution(n, seed)
+        for big_m in range(n + 1):
+            for big_k in range(n + 1 - big_m):
+                data = hi.hankel_block(dist, big_m, big_k).data
+                for m in range(big_m + 1):
+                    for k in range(big_k + 1):
+                        assert np.array_equal(corner(data, m, k),
+                                              hi.hankel_block(dist, m, k).data)
+
+
+def test_row_followed_by_a_symbol_is_row_2r_plus_1_plus_a():
+    dist = random_table_distribution(7, 3)
+    for e in range(1, 5):
+        block = hi.hankel_block(dist, e, e - 1)
+        for r in range(2 ** e - 1):
+            for a in (0, 1):
+                assert block.row_strings[2 * r + 1 + a] == block.row_strings[r] + str(a)

@@ -1,9 +1,11 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import hmpident as hi
+from hmpident import hankel
 from hmpident.errors import SumNotOneError, WrongVerdictError
 from hmpident.jsonio import dumps
 from conftest import (control_distribution, fair_coin_distribution,
@@ -127,3 +129,36 @@ def test_verdict_payload_no_hmp():
     assert payload["verdict"] == "no_hmp"
     assert payload["params"] is None
     assert payload["max_residual"] is None
+
+
+def count_block_builds(monkeypatch):
+    """Wrap hankel_block wherever the package holds it; returns the list of (m, k) built."""
+    built = []
+    original = hankel.hankel_block
+
+    def counted(dist, m, k):
+        built.append((m, k))
+        return original(dist, m, k)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hmpident" and getattr(module, "hankel_block", None) is original:
+            monkeypatch.setattr(module, "hankel_block", counted)
+    return built
+
+
+def test_identify_builds_the_balanced_blocks_once_and_no_small_block(monkeypatch):
+    table = np.random.default_rng(9).uniform(0.1, 1.0, 2 ** 9)
+    dist = hi.StringDistribution(9, table / table.sum())
+    built = count_block_builds(monkeypatch)
+    verdict = hi.identify(dist)
+    assert verdict.kind == hi.NO_HMP and len(verdict.trace) == 5
+    # tall before wide: the wide block stays alive for the loop
+    assert built == [(5, 4), (4, 5)]
+
+
+def test_identify_builds_one_block_each_for_basis_and_inference(monkeypatch):
+    dist = hi.full_distribution(hi.random_stochastic(3, 1), 7)
+    built = count_block_builds(monkeypatch)
+    verdict = hi.identify(dist)
+    assert (verdict.kind, verdict.states) == (hi.HMP, 3)
+    assert built == [(4, 3), (3, 4), (2, 2), (3, 2)]
