@@ -45,8 +45,3 @@ print("matching permutation found:", hi.equivalent_up_to_permutation(moved, mix)
 # seeded random parametrizations drive the round-trip experiments
 rand = hi.random_stochastic(3, 7)
 print("\nrandom d=3 transition rows sum to", rand.transition.sum(axis=1))
-coords = hi.free_parameters(rand)
-print("free coordinates:", coords.size, "= d^2 + d - 1 =", 3 * 3 + 3 - 1)
-back = hi.from_free_parameters(3, coords)
-print("coordinate round trip max error:",
-      np.max(np.abs(back.transition - rand.transition)))

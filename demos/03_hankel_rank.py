@@ -45,8 +45,9 @@ for gap in (1e-6, 1e-9, 1e-12):
     print(f"gap {gap:.0e}: sigma2/sigma1 = {ratio:.2e}, rank {report.rank},"
           f" confident {report.confident}")
 
-# basis selection feeds inference: complete pivoting picks well-conditioned
-# prefix/suffix pairs, anchored at the empty string
-v, w, gram = hi.select_basis(mix, 2)
-print("\nselected rows", v, "cols", w)
-print("gram matrix:\n", gram, "\ndeterminant:", np.linalg.det(gram))
+# basis selection feeds inference: the top-e singular triple of the small
+# block, whose singular values are all inference ever divides by
+small = hi.hankel_block(mix, 1, 1).data
+u, sigma, r = hi.select_basis(small, 2)
+print("\nsigma of P_(1,1):", sigma)
+print("rank-2 reconstruction max error:", np.max(np.abs(u @ np.diag(sigma) @ r - small)))

@@ -9,10 +9,13 @@ Running the same script from two checkouts, with the same BLAS thread count,
 tells whether a change keeps these outputs byte-identical:
 
 - verdicts: dumps(verdict_to_jsonable(dist, identify(dist))) per case;
+- kinds: the verdict kind and state count alone, so a change that moves
+  parameters in late digits can still show that no decision moved;
 - rank: rank, confidence and singular values of every block `hmpident rank`
   reports (P_(e-1,e-1) for e up to the cap, then the wide and tall blocks);
-- inference: select_basis and every infer_finitary_detailed field for each
-  e up to the cap, or the exception each one raises.
+- inference: select_basis of the P_(e-1,e-1) corner of P_(e,e-1) and every
+  infer_finitary_detailed field for each e up to the cap, or the exception
+  each one raises.
 
 The corpus is random_stochastic(d, s) for d = 1..5, n in {2d-1, 2d, 2d+1},
 s < 60; seeded uniform tables at n in {5, 9, 13, 17}, 10 each; and the test
@@ -28,6 +31,7 @@ import numpy as np
 sys.path[:0] = [str(Path.cwd() / "src"), str(Path.cwd() / "tests")]
 
 import hmpident as hi  # noqa: E402
+from hmpident.hankel import corner  # noqa: E402
 from hmpident.identify import max_states_cap, verdict_to_jsonable  # noqa: E402
 from hmpident.jsonio import dumps  # noqa: E402
 import conftest  # noqa: E402
@@ -74,21 +78,25 @@ def outcome(fn, *args):
 
 def main():
     print(f"hmpident from {Path(hi.__file__).parent}", file=sys.stderr)
-    verdicts, ranks, inference = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    verdicts, kinds, ranks, inference = (hashlib.sha256() for _ in range(4))
     cases = 0
     for dist in corpus():
         cases += 1
         n, cap = dist.n, max_states_cap(dist.n)
-        verdicts.update(dumps(verdict_to_jsonable(dist, hi.identify(dist))).encode())
+        verdict = hi.identify(dist)
+        verdicts.update(dumps(verdict_to_jsonable(dist, verdict)).encode())
+        feed(kinds, (verdict.kind, verdict.states))
         shapes = [(e - 1, e - 1) for e in range(1, cap + 1)]
         shapes += [(n // 2, (n + 1) // 2), ((n + 1) // 2, n // 2)]
         for m, k in shapes:
             feed(ranks, hi.numerical_rank(hi.hankel_block(dist, m, k).data))
         for e in range(1, cap + 1):
-            feed(inference, outcome(hi.select_basis, dist, e))
+            small = corner(hi.hankel_block(dist, e, e - 1).data, e - 1, e - 1)
+            feed(inference, outcome(hi.select_basis, small, e))
             feed(inference, outcome(hi.infer_finitary_detailed, dist, e))
     print(f"cases {cases}")
-    for name, digest in (("verdicts", verdicts), ("rank", ranks), ("inference", inference)):
+    for name, digest in (("verdicts", verdicts), ("kinds", kinds), ("rank", ranks),
+                         ("inference", inference)):
         print(f"{name} {digest.hexdigest()}")
 
 

@@ -17,8 +17,7 @@ from .distribution import (StringDistribution, validate, marginalize,
                            load_distribution, save_distribution)
 from .hmp import (HmpParams, split, string_probability,
                   full_distribution, vandermonde_example, random_stochastic,
-                  permute_states, equivalent_up_to_permutation,
-                  free_parameters, from_free_parameters, validate_params,
+                  permute_states, equivalent_up_to_permutation, validate_params,
                   load_params, save_params)
 from .hankel import HankelBlock, RankReport, hankel_block, numerical_rank, select_basis
 from .finitary import (FinitaryParams, FinitaryInference, infer_finitary,

@@ -155,6 +155,8 @@ def cmd_rank(args) -> int:
 
 
 def cmd_minors(args) -> int:
+    if args.states < 1:
+        raise ValueError(f"--states must be at least 1, got {args.states}")
     tol = _tolerances(args)
     dist = load_distribution(args.dist, tol)
     validate(dist, tol)
@@ -175,6 +177,8 @@ def cmd_minors(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     if args.length < 2 * args.states - 1:
         raise ValueError(f"need length >= 2*states-1 = {2 * args.states - 1}, "
                          f"got {args.length}")

@@ -1,17 +1,22 @@
 """Observable-operator parametrizations of a string distribution.
 
 A finitary parametrization of dimension e is a vector x and operators T0, T1
-with p(a_1 ... a_n) = x' T_{a_1} ... T_{a_n} 1.  Inference picks e row
-strings v_i and e column strings w_j whose Gram matrix V = [p(v_i w_j)] is
-invertible; then
+with p(a_1 ... a_n) = x' T_{a_1} ... T_{a_n} 1.  Inference reads one Hankel
+block B = P_{e,e-1}.  Its leading corner H = [p(v w)], over strings v and w of
+length at most e-1, has the top-e singular triple H ~ U diag(sigma) R, and the
+child rows of B give H_a = [p(v a w)] (row r followed by a is row 2r+1+a).
+Then
 
-    x'  = (p(w_1), ..., p(w_e))          y = V^(-1) (p(v_1), ..., p(v_e))'
-    T_a = V^(-1) W_a                     W_a = [p(v_i a w_j)]
+    x'  = H[0] R'          y = R[:, 0]
+    T_a = diag(sigma)^(-1) U' H_a R'
 
-reproduces the distribution as x' T_v y.  A final change of basis S with
-S 1 = y absorbs y into the operators so the standard unit-column-sum form
-x' T_v 1 holds; both the raw and the normalized parametrization are kept
-because the raw one is the easier object to check against the table.
+reproduces the distribution as x' T_v y.  Projecting on the singular subspaces
+uses every entry of the block, and the only inversion is the division by
+sigma, so sigma witnesses how well conditioned the recipe is.  A final change
+of basis S with S 1 = y absorbs y into the operators so the standard
+unit-column-sum form x' T_v 1 holds; both the raw and the normalized
+parametrization are kept because the raw one is the easier object to check
+against the table.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ import numpy as np
 
 from .distribution import StringDistribution
 from .errors import DegenerateNormalizationError, LengthError
-from .hankel import hankel_block, select_basis
+from .hankel import corner, hankel_block, select_basis
 from .strings import check_binary
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
@@ -44,9 +49,7 @@ class FinitaryInference:
     raw_t1: np.ndarray
     raw_x: np.ndarray
     y: np.ndarray
-    row_strings: tuple
-    col_strings: tuple
-    gram: np.ndarray
+    sigma: np.ndarray               # the singular values inference divides by
 
 
 def infer_finitary_detailed(dist: StringDistribution, e: int,
@@ -54,20 +57,20 @@ def infer_finitary_detailed(dist: StringDistribution, e: int,
     if dist.n < 2 * e - 1:
         raise LengthError(f"need n >= 2e-1 = {2 * e - 1}, got n = {dist.n}")
     tol = tol or DEFAULT_TOLERANCES
-    v_strings, w_strings, gram = select_basis(dist, e, tol)
     # P_{p,e,e-1}: row 0 is the empty string, row 2r+1+a is row r followed by a
-    block = hankel_block(dist, e, e - 1)
-    rows = np.array([block.row_strings.index(v) for v in v_strings])
-    cols = np.array([block.col_strings.index(w) for w in w_strings])
-    raw_x = block.data[0, cols]
-    y = np.linalg.solve(gram, block.data[rows, 0])
+    block = hankel_block(dist, e, e - 1).data
+    h = corner(block, e - 1, e - 1)
+    u, sigma, r = select_basis(h, e, tol)
+    raw_x = h[0] @ r.T
+    y = r[:, 0]
 
     # S = I + (y - 1) e_j' maps 1 to y and has determinant y_j, so the pivot
     # entry of y must stay away from zero for the rescaling to exist.
     j = int(np.argmax(np.abs(y)))
     if abs(y[j]) < DEGENERATE_Y_FLOOR:
         raise DegenerateNormalizationError(f"fixed vector is numerically zero: {y}")
-    raw_t0, raw_t1 = (np.linalg.solve(gram, block.data[np.ix_(2 * rows + 1 + a, cols)])
+    rows = np.arange(h.shape[0])
+    raw_t0, raw_t1 = ((u.T @ block[2 * rows + 1 + a] @ r.T) / sigma[:, None]
                       for a in (0, 1))
     s = np.eye(e)
     s[:, j] += y - 1.0
@@ -75,8 +78,7 @@ def infer_finitary_detailed(dist: StringDistribution, e: int,
     t1 = np.linalg.solve(s, raw_t1 @ s)
     x = s.T @ raw_x
     params = FinitaryParams(e, t0, t1, x)
-    return FinitaryInference(params, raw_t0, raw_t1, raw_x, y,
-                             v_strings, w_strings, gram)
+    return FinitaryInference(params, raw_t0, raw_t1, raw_x, y, sigma)
 
 
 def infer_finitary(dist: StringDistribution, e: int,

@@ -81,39 +81,16 @@ def numerical_rank(matrix, tol: ToleranceConfig | None = None) -> RankReport:
     return RankReport(rank, sigma, not bool(borderline))
 
 
-def select_basis(dist: StringDistribution, e: int,
-                 tol: ToleranceConfig | None = None):
-    """Pick e row strings and e column strings with a well-conditioned Gram matrix.
+def select_basis(data, e: int, tol: ToleranceConfig | None = None):
+    """Top-e singular triple (U, sigma, R) of a block, so data ~ U diag(sigma) R.
 
-    Runs complete-pivoting elimination on P_{p,e-1,e-1} and keeps the pivot
-    positions.  The returned V holds the original (uneliminated) entries
-    p(v_i w_j).  Conditioning matters because downstream inference inverts V.
+    Inference divides by sigma, so the triple is refused when sigma_e falls to
+    the relative cut numerical_rank uses: the block has no rank-e part to
+    project onto.
     """
     tol = tol or DEFAULT_TOLERANCES
-    block = hankel_block(dist, e - 1, e - 1)
-    work = np.array(block.data)
-    scale = float(np.abs(work).max())
-    threshold = tol.rel_rank_tol * scale
-    free_rows = list(range(work.shape[0]))
-    free_cols = list(range(work.shape[1]))
-    picked_rows, picked_cols = [], []
-    for _ in range(e):
-        sub = np.abs(work[np.ix_(free_rows, free_cols)])
-        flat = int(np.argmax(sub))
-        i = free_rows[flat // len(free_cols)]
-        j = free_cols[flat % len(free_cols)]
-        pivot = work[i, j]
-        if abs(pivot) <= threshold:
-            raise RankDeficientError(
-                f"no pivot above {threshold} left after {len(picked_rows)} steps")
-        picked_rows.append(i)
-        picked_cols.append(j)
-        free_rows.remove(i)
-        free_cols.remove(j)
-        if free_rows:
-            rows = np.asarray(free_rows)
-            work[rows] -= np.outer(work[rows, j] / pivot, work[i])
-    v_strings = tuple(block.row_strings[i] for i in picked_rows)
-    w_strings = tuple(block.col_strings[j] for j in picked_cols)
-    gram = np.array(block.data[np.ix_(picked_rows, picked_cols)])
-    return v_strings, w_strings, gram
+    u, sigma, r = np.linalg.svd(np.asarray(data, dtype=float), full_matrices=False)
+    if len(sigma) < e or sigma[e - 1] <= tol.rel_rank_tol * sigma[0]:
+        raise RankDeficientError(f"no rank-{e} part above the relative cut "
+                                 f"{tol.rel_rank_tol}: singular values {sigma[:e]}")
+    return u[:, :e], sigma[:e], r[:e]

@@ -185,26 +185,6 @@ def equivalent_up_to_permutation(a: HmpParams, b: HmpParams,
     return None
 
 
-def free_parameters(params: HmpParams) -> np.ndarray:
-    """The d^2 + d - 1 free coordinates left after dropping row-sum redundancy."""
-    return np.concatenate([params.transition[:, :-1].ravel(),
-                           params.emission[:, 0],
-                           params.initial[:-1]])
-
-
-def from_free_parameters(d: int, coords) -> HmpParams:
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape != (d * d + d - 1,):
-        raise DimensionMismatchError(
-            f"expected {d * d + d - 1} coordinates for d = {d}, got {coords.shape}")
-    head = coords[:d * (d - 1)].reshape(d, d - 1)
-    m = np.column_stack([head, 1.0 - head.sum(axis=1)])
-    e0 = coords[d * (d - 1):d * (d - 1) + d]
-    pi_head = coords[d * (d - 1) + d:]
-    pi = np.append(pi_head, 1.0 - pi_head.sum())
-    return HmpParams(d, m, np.column_stack([e0, 1.0 - e0]), pi)
-
-
 def params_to_jsonable(params: HmpParams) -> dict:
     return {"d": params.d,
             "transition": [list(map(float, row)) for row in params.transition],

@@ -117,6 +117,20 @@ def test_roundtrip_length_guard():
     assert main(["roundtrip", "--states", "3", "--length", "4"]) == 1
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_roundtrip_needs_a_trial(capsys, trials):
+    assert main(["roundtrip", "--states", "2", "--length", "3", "--trials", trials]) == 1
+    out = capsys.readouterr()
+    assert "error: --trials" in out.err and "recovered=" not in out.out
+
+
+def test_minors_needs_a_state(tmp_path, capsys):
+    dist_path = str(tmp_path / "coin.json")
+    hi.save_distribution(hi.full_distribution(fair_coin_params(), 3), dist_path)
+    assert main(["minors", "--dist", dist_path, "--states", "0"]) == 1
+    assert "error: --states" in capsys.readouterr().err
+
+
 def test_missing_file_is_an_error(tmp_path, capsys):
     assert main(["identify", "--dist", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -73,17 +73,6 @@ def test_raw_fixed_point_equation():
     assert np.max(np.abs(residual)) <= 1e-9
 
 
-def test_inference_keeps_selected_strings():
-    dist = hi.full_distribution(hi.random_stochastic(2, 8), 3)
-    inf = hi.infer_finitary_detailed(dist, 2)
-    assert len(inf.row_strings) == 2 and len(inf.col_strings) == 2
-    for i in range(2):
-        for j in range(2):
-            assert inf.gram[i, j] == pytest.approx(
-                hi.prefix_probability(dist, inf.row_strings[i] + inf.col_strings[j]),
-                abs=1e-15)
-
-
 def test_overshooting_dimension_fails_cleanly():
     dist = hi.full_distribution(hi.vandermonde_example(2, [0.3, 0.6]), 5)
     with pytest.raises(hi.errors.RankDeficientError):
@@ -91,14 +80,14 @@ def test_overshooting_dimension_fails_cleanly():
 
 
 def test_degenerate_normalization_guard(monkeypatch):
-    # complete pivoting always anchors the basis at the empty string, so a
-    # numerically zero fixed vector cannot arise through the public path;
-    # force a basis of near-zero-probability rows to hit the guard
+    # y = R[:, 0] is the empty-suffix column projected on the top singular
+    # subspace, which a rank-e block never zeroes; force a right factor with
+    # a zero first column to hit the guard
     table = np.zeros(8)
     table[4:] = 1e-14
     table[0] = 1.0 - table.sum()
     dist = hi.StringDistribution(3, table)
     monkeypatch.setattr("hmpident.finitary.select_basis",
-                        lambda dist, e, tol: (("1", "11"), ("", ""), np.eye(2)))
+                        lambda data, e, tol: (np.eye(3)[:, :2], np.ones(2), np.eye(3)[1:]))
     with pytest.raises(DegenerateNormalizationError):
         hi.infer_finitary(dist, 2)

@@ -121,33 +121,26 @@ def test_numerical_rank_empty_error():
 
 
 def test_select_basis_rank_one():
-    v, w, gram = hi.select_basis(fair_coin_distribution(2), 1)
-    assert v == ("",) and w == ("",)
-    assert gram.shape == (1, 1) and gram[0, 0] == pytest.approx(1.0, abs=1e-12)
+    u, sigma, r = hi.select_basis(hi.hankel_block(fair_coin_distribution(2), 0, 0).data, 1)
+    assert u.shape == (1, 1) and sigma.shape == (1,) and r.shape == (1, 1)
+    assert sigma[0] == pytest.approx(1.0, abs=1e-12)
+    assert u[0, 0] * r[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_select_basis_first_pivot_is_global_max():
-    dist = hi.full_distribution(hi.random_stochastic(2, 4), 3)
-    v, w, gram = hi.select_basis(dist, 2)
-    block = hi.hankel_block(dist, 1, 1)
-    i, j = np.unravel_index(int(np.argmax(np.abs(block.data))), block.data.shape)
-    assert (v[0], w[0]) == (block.row_strings[i], block.col_strings[j])
-
-
-def test_select_basis_gram_holds_original_entries():
+def test_select_basis_is_the_top_singular_triple_of_the_block():
     dist = hi.full_distribution(hi.random_stochastic(3, 9), 5)
-    v, w, gram = hi.select_basis(dist, 3)
-    for i in range(3):
-        for j in range(3):
-            assert gram[i, j] == pytest.approx(
-                hi.prefix_probability(dist, v[i] + w[j]), abs=1e-15)
-    assert len(set(v)) == 3 and len(set(w)) == 3
-    assert np.linalg.svd(gram, compute_uv=False)[-1] > 1e-6
+    data = hi.hankel_block(dist, 2, 2).data
+    u, sigma, r = hi.select_basis(data, 3)
+    assert np.max(np.abs(u @ np.diag(sigma) @ r - data)) <= 1e-12
+    np.testing.assert_allclose(sigma, hi.numerical_rank(data).singular_values[:3],
+                               rtol=1e-12, atol=0)
 
 
 def test_select_basis_rank_deficient():
     with pytest.raises(RankDeficientError):
-        hi.select_basis(fair_coin_distribution(3), 2)
+        hi.select_basis(hi.hankel_block(fair_coin_distribution(3), 1, 1).data, 2)
+    with pytest.raises(RankDeficientError):
+        hi.select_basis(np.ones((1, 3)), 2)
 
 
 def test_small_blocks_are_corners_of_larger_blocks():

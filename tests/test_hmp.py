@@ -225,17 +225,6 @@ def test_equivalent_guards():
         hi.equivalent_up_to_permutation(big, big, 1e-6)
 
 
-def test_free_parameter_count_and_round_trip():
-    for d in (1, 2, 3, 4):
-        params = hi.random_stochastic(d, 50 + d)
-        coords = hi.free_parameters(params)
-        assert coords.shape == (d * d + d - 1,)
-        back = hi.from_free_parameters(d, coords)
-        assert np.max(np.abs(back.transition - params.transition)) <= 1e-12
-        assert np.max(np.abs(back.emission - params.emission)) <= 1e-12
-        assert np.max(np.abs(back.initial - params.initial)) <= 1e-12
-
-
 def test_params_json_round_trip(tmp_path):
     params = hi.random_stochastic(3, 77)
     path = tmp_path / "params.json"

@@ -161,4 +161,19 @@ def test_identify_builds_one_block_each_for_basis_and_inference(monkeypatch):
     built = count_block_builds(monkeypatch)
     verdict = hi.identify(dist)
     assert (verdict.kind, verdict.states) == (hi.HMP, 3)
-    assert built == [(4, 3), (3, 4), (2, 2), (3, 2)]
+    assert built == [(4, 3), (3, 4), (3, 2)]
+
+
+# the best-pivoted e x e submatrices of these blocks have cond ~1e5-1e6, so
+# an estimate that inverts one of them drifts past 1e-6 or fails recovery
+def test_ill_conditioned_five_state_generator_recovered():
+    gen = hi.random_stochastic(5, 2013)
+    verdict = hi.identify(hi.full_distribution(gen, 9))
+    assert (verdict.kind, verdict.states) == (hi.HMP, 5)
+    assert hi.equivalent_up_to_permutation(verdict.params, gen, 1e-6) is not None
+
+
+def test_ill_conditioned_six_state_generator_decided():
+    gen = hi.random_stochastic(6, 381)
+    verdict = hi.identify(hi.full_distribution(gen, 11))
+    assert (verdict.kind, verdict.states) == (hi.HMP, 6)
