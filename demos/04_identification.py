@@ -1,9 +1,11 @@
 """The full decision procedure, end to end.
 
-identify() walks candidate state counts e = 1, 2, ... up to floor((n+1)/2).
-At each e it compares three Hankel ranks; on a full match it infers a
-finitary parametrization and tries to rotate it into stochastic coordinates.
-The outcome is one of three verdicts, and every step is kept in a trace.
+identify() ranks the two balanced Hankel blocks first.  Their rank e is the
+only state count that can match, so it ranks one small block, P_(e-1,e-1),
+and only when both balanced ranks agree on an e within floor((n+1)/2).  On a
+full match it infers a finitary parametrization and tries to rotate it into
+stochastic coordinates.  The outcome is one of three verdicts, and the trace
+keeps one entry saying how it was reached.
 """
 import numpy as np
 
@@ -15,9 +17,10 @@ def show(name, dist, **kwargs):
     print(f"\n{name}: {verdict.kind} (states {verdict.states})")
     if verdict.reason:
         print("  reason:", verdict.reason)
-    for entry in verdict.trace:
-        print(f"  e={entry.states}: ranks ({entry.rank_small.rank},"
-              f" {entry.rank_wide.rank}, {entry.rank_tall.rank}) -> {entry.note}")
+    (entry,) = verdict.trace
+    small = "not ranked" if entry.rank_small is None else entry.rank_small.rank
+    print(f"  e={entry.states}: small {small}, wide {entry.rank_wide.rank},"
+          f" tall {entry.rank_tall.rank} -> {entry.note}")
     if verdict.kind == hi.HMP:
         report = hi.certify(dist, verdict)
         print(f"  certificate: re-simulated table matches to {report.max_residual:.2e}")
@@ -34,7 +37,7 @@ print("  recovered parameters match the generator under relabeling", sigma)
 show("2-state mixture at n=5",
      hi.full_distribution(hi.vandermonde_example(2, [0.3, 0.6]), 5))
 
-# the perturbed uniform table is rejected at every state count
+# the perturbed uniform table: its wide block has rank 3, above the cap of 2 at n=3
 perturbed = np.full(8, 0.125)
 for s, dv in (("000", 0.02), ("111", -0.02), ("010", 0.01), ("101", -0.01)):
     perturbed[int(s, 2)] += dv

@@ -3,10 +3,12 @@
 Run from the root of a checkout; the package is imported from ./src and the
 test fixtures from ./tests:
 
-    OPENBLAS_NUM_THREADS=1 python3 path/to/payload_digest.py
+    OPENBLAS_NUM_THREADS=1 python3 path/to/payload_digest.py [CASES]
 
 Running the same script from two checkouts, with the same BLAS thread count,
-tells whether a change keeps these outputs byte-identical:
+tells whether a change keeps these outputs byte-identical.  With CASES, it
+also writes one JSON line per case there (index, n, kind, states, reason), so
+`diff` of the two files lists every case whose verdict moved.  The digests:
 
 - verdicts: dumps(verdict_to_jsonable(dist, identify(dist))) per case;
 - kinds: the verdict kind and state count alone, so a change that moves
@@ -21,8 +23,10 @@ The corpus is random_stochastic(d, s) for d = 1..5, n in {2d-1, 2d, 2d+1},
 s < 60; seeded uniform tables at n in {5, 9, 13, 17}, 10 each; and the test
 fixtures' control, fair-coin and near-degenerate (gap 1e-9, 5e-8, 1e-6) cases.
 """
+import argparse
 import dataclasses
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -77,8 +81,13 @@ def outcome(fn, *args):
 
 
 def main():
+    parser = argparse.ArgumentParser(description="Digest hmpident's outputs over a fixed corpus.")
+    parser.add_argument("cases", nargs="?",
+                        help="write one JSON line per case here: index, n, kind, states, reason")
+    args = parser.parse_args()
     print(f"hmpident from {Path(hi.__file__).parent}", file=sys.stderr)
     verdicts, kinds, ranks, inference = (hashlib.sha256() for _ in range(4))
+    rows = []
     cases = 0
     for dist in corpus():
         cases += 1
@@ -86,6 +95,8 @@ def main():
         verdict = hi.identify(dist)
         verdicts.update(dumps(verdict_to_jsonable(dist, verdict)).encode())
         feed(kinds, (verdict.kind, verdict.states))
+        rows.append(json.dumps({"index": cases - 1, "n": n, "kind": verdict.kind,
+                                "states": verdict.states, "reason": verdict.reason}) + "\n")
         shapes = [(e - 1, e - 1) for e in range(1, cap + 1)]
         shapes += [(n // 2, (n + 1) // 2), ((n + 1) // 2, n // 2)]
         for m, k in shapes:
@@ -94,6 +105,9 @@ def main():
             small = corner(hi.hankel_block(dist, e, e - 1).data, e - 1, e - 1)
             feed(inference, outcome(hi.select_basis, small, e))
             feed(inference, outcome(hi.infer_finitary_detailed, dist, e))
+    if args.cases:
+        with open(args.cases, "w") as fh:
+            fh.writelines(rows)
     print(f"cases {cases}")
     for name, digest in (("verdicts", verdicts), ("kinds", kinds), ("rank", ranks),
                          ("inference", inference)):

@@ -130,7 +130,7 @@ def cmd_identify(args) -> int:
     if kind == HMP:
         print(f"hmp on {verdict.states} states, max residual {payload['max_residual']:.3e}")
     else:
-        print(f"{kind} (states tested up to {verdict.states}): {verdict.reason}")
+        print(f"{kind}: {verdict.reason}")
     return _VERDICT_EXITS[kind]
 
 

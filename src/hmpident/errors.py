@@ -62,7 +62,7 @@ class StateCountTooLargeError(ValueError):
 
 
 class RankDeficientError(ValueError):
-    """No sufficiently well-conditioned square submatrix exists."""
+    """A block has no rank-e part above the relative rank cut to project onto."""
 
 
 class DegenerateNormalizationError(ValueError):

@@ -62,13 +62,14 @@ def stochastic_violation(params: HmpParams) -> tuple[float, str | None]:
     """Worst distance from row-stochastic form (inf for a non-finite entry), and where."""
     violation, witness = 0.0, None
     for name in ("transition", "emission", "initial"):
-        arr = np.atleast_2d(getattr(params, name))
+        value = getattr(params, name)
+        arr = np.atleast_2d(value)   # initial is one row; its entries keep one index
         outside = np.abs(arr - np.clip(arr, 0.0, 1.0))
         outside[~np.isfinite(arr)] = np.inf
         if outside.max() > violation:
             violation = float(outside.max())
-            idx = np.unravel_index(int(np.argmax(outside)), arr.shape)
-            witness = f"{name}[{','.join(map(str, idx))}] = {arr[idx]:.6g}"
+            idx = np.unravel_index(int(np.argmax(outside)), value.shape)
+            witness = f"{name}[{','.join(map(str, idx))}] = {value[idx]:.6g}"
         row_err = float(np.max(np.abs(arr.sum(axis=1) - 1.0)))
         if row_err > violation:
             violation = row_err

@@ -1,14 +1,15 @@
 """Top-level decision procedure.
 
-For each candidate state count e up to floor((n+1)/2), the distribution is an
-HMP on e states exactly when three Hankel blocks all have rank e: the small
-block P_{p,e-1,e-1} and the two balanced blocks P_{p,floor(n/2),ceil(n/2)}
-and P_{p,ceil(n/2),floor(n/2)}.  When the pattern holds, inference plus
-recovery either produces a stochastic parametrization (verdict: HMP), shows
-the distribution is representable but not by any stochastic parametrization
-of this size (verdict: no HMP), or runs into a genericity failure, where the
-method is simply blind (verdict: cannot decide).  Borderline numerical rank
-likewise yields cannot-decide rather than a guess.
+The distribution is an HMP on e states exactly when three Hankel blocks all
+have rank e: the small block P_{p,e-1,e-1} and the two balanced blocks
+P_{p,floor(n/2),ceil(n/2)} and P_{p,ceil(n/2),floor(n/2)}.  The balanced ranks
+do not depend on e, so only e = rank of the wide block can match, and only its
+small block is ranked.  When the pattern holds, inference plus recovery either
+produces a stochastic parametrization (verdict: HMP), shows the distribution
+is representable but not by any stochastic parametrization of this size
+(verdict: no HMP), or runs into a genericity failure, where the method is
+simply blind (verdict: cannot decide).  Borderline numerical rank likewise
+yields cannot-decide rather than a guess.
 """
 from __future__ import annotations
 
@@ -22,8 +23,7 @@ from .errors import (DegenerateNormalizationError, RankDeficientError,
 from .finitary import infer_finitary
 from .hankel import RankReport, corner, hankel_block, numerical_rank
 from .hmp import HmpParams, full_distribution, params_to_jsonable
-from .recover import (NOT_GENERIC, NOT_STOCHASTIC, RECOVERED, RecoveryOutcome,
-                      recover_hmm)
+from .recover import NOT_STOCHASTIC, RECOVERED, RecoveryOutcome, recover_hmm
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 HMP = "hmp"
@@ -36,7 +36,7 @@ CERTIFY_TOL = 1e-6
 @dataclass(frozen=True)
 class TraceEntry:
     states: int
-    rank_small: RankReport          # P_{p,e-1,e-1}
+    rank_small: RankReport | None   # P_{p,e-1,e-1}; None when not ranked
     rank_wide: RankReport           # P_{p,floor(n/2),ceil(n/2)}
     rank_tall: RankReport           # P_{p,ceil(n/2),floor(n/2)}
     recovery: RecoveryOutcome | None
@@ -62,42 +62,42 @@ def identify(dist: StringDistribution, max_states: int | None = None,
     validate(dist, tol)
     n = dist.n
     cap = max_states_cap(n)
-    if max_states is None:
-        max_states = cap
+    max_states = cap if max_states is None else max_states
     if not 1 <= max_states <= cap:
         raise ValueError(f"max_states must be in [1, {cap}] for n = {n}, got {max_states}")
 
-    # tall first, so the wide block, whose corners are the small blocks, is
-    # never alive together with it
+    # tall first, so it is never alive together with the wide block, which holds the small one
     tall = numerical_rank(hankel_block(dist, (n + 1) // 2, n // 2).data, tol)
     wide_data = hankel_block(dist, n // 2, (n + 1) // 2).data
     wide = numerical_rank(wide_data, tol)
-    trace = []
+    e = wide.rank
+    no_fit = f"no state count up to {max_states} fits"
 
-    for e in range(1, max_states + 1):
-        small = numerical_rank(corner(wide_data, e - 1, e - 1), tol)
-        if not (small.confident and wide.confident and tall.confident):
-            trace.append(TraceEntry(e, small, wide, tall, None, "borderline rank"))
-            return Verdict(CANNOT_DECIDE, e, None, "borderline rank", tuple(trace))
-        if small.rank == wide.rank == tall.rank == e:
-            try:
-                fp = infer_finitary(dist, e, tol)
-            except (RankDeficientError, DegenerateNormalizationError) as exc:
-                note = f"inference degenerate: {exc}"
-                trace.append(TraceEntry(e, small, wide, tall, None, note))
-                return Verdict(CANNOT_DECIDE, e, None, note, tuple(trace))
-            outcome = recover_hmm(fp, tol)
-            trace.append(TraceEntry(e, small, wide, tall, outcome, outcome.kind))
-            if outcome.kind == RECOVERED:
-                return Verdict(HMP, e, outcome.params, None, tuple(trace))
-            if outcome.kind == NOT_STOCHASTIC:
-                reason = f"representable in dimension {e} but not stochastically: {outcome.reason}"
-                return Verdict(NO_HMP, e, None, reason, tuple(trace))
-            return Verdict(CANNOT_DECIDE, e, None, outcome.reason, tuple(trace))
-        trace.append(TraceEntry(e, small, wide, tall, None,
-                                f"rank pattern not met: ({small.rank}, {wide.rank}, {tall.rank})"))
-    return Verdict(NO_HMP, max_states, None,
-                   f"no state count up to {max_states} fits", tuple(trace))
+    def decided(kind, states, reason, note=None, small=None, outcome=None):
+        entry = TraceEntry(e, small, wide, tall, outcome, note or reason)
+        return Verdict(kind, states, outcome and outcome.params, reason, (entry,))
+
+    if not (wide.confident and tall.confident):
+        return decided(CANNOT_DECIDE, 1, "borderline rank")
+    if e != tall.rank or not 1 <= e <= max_states:
+        note = f"rank pattern not met: ranks wide {e}, tall {tall.rank}; max_states {max_states}"
+        return decided(NO_HMP, max_states, no_fit, note)
+    small = numerical_rank(corner(wide_data, e - 1, e - 1), tol)
+    if not small.confident:
+        return decided(CANNOT_DECIDE, e, "borderline rank", small=small)
+    if small.rank != e:
+        return decided(NO_HMP, max_states, no_fit,
+                       f"rank pattern not met: ({small.rank}, {wide.rank}, {tall.rank})", small)
+    try:
+        fp = infer_finitary(dist, e, tol)
+    except (RankDeficientError, DegenerateNormalizationError) as exc:
+        return decided(CANNOT_DECIDE, e, f"inference degenerate: {exc}", small=small)
+    outcome = recover_hmm(fp, tol)
+    if outcome.kind == NOT_STOCHASTIC:
+        reason = f"representable in dimension {e} but not stochastically: {outcome.reason}"
+        return decided(NO_HMP, e, reason, outcome.kind, small, outcome)
+    kind = HMP if outcome.kind == RECOVERED else CANNOT_DECIDE
+    return decided(kind, e, outcome.reason, outcome.kind, small, outcome)
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ def verdict_to_jsonable(dist: StringDistribution, verdict: Verdict) -> dict:
         "trace": [
             {
                 "states": entry.states,
-                "rank_small": _rank_report_jsonable(entry.rank_small),
+                "rank_small": entry.rank_small and _rank_report_jsonable(entry.rank_small),
                 "rank_wide": _rank_report_jsonable(entry.rank_wide),
                 "rank_tall": _rank_report_jsonable(entry.rank_tall),
                 "recovery": None if entry.recovery is None else {

@@ -36,7 +36,6 @@ class RecoveryDiagnostics:
     det_mixed: float                 # det(T0 + T1)
     max_imag: float | None = None
     max_stochastic_violation: float | None = None
-    o1_residual: float | None = None  # |(S^-1 T1 S) M^-1 - (I - O_0)|, a consistency check
 
 
 @dataclass(frozen=True)
@@ -88,15 +87,13 @@ def recover_hmm(fp: FinitaryParams, tol: ToleranceConfig | None = None,
 
     try:
         m = np.linalg.solve(s, mixed @ s)
-        alt_o1 = np.linalg.solve(s, fp.t1 @ s) @ np.linalg.inv(m)
     except np.linalg.LinAlgError as exc:
         return RecoveryOutcome(NOT_GENERIC, None, f"basis change failed: {exc}", diag)
     pi = s.T @ fp.x
-    o1_residual = float(np.max(np.abs(alt_o1 - np.diag(1.0 - eigvals))))
 
     pieces = np.concatenate([m.ravel(), pi.ravel(), eigvals])
     max_imag = float(np.max(np.abs(pieces.imag)))
-    diag = replace(diag, max_imag=max_imag, o1_residual=o1_residual)
+    diag = replace(diag, max_imag=max_imag)
     if max_imag > tol.tol_stochastic:
         return RecoveryOutcome(
             NOT_STOCHASTIC, None,

@@ -48,6 +48,17 @@ def test_identify_cannot_decide_exit(tmp_path):
     assert main(["identify", "--dist", write_near_degenerate(tmp_path)]) == 3
 
 
+def test_identify_prints_kind_and_reason(tmp_path, capsys):
+    dist_path = str(tmp_path / "control.json")
+    hi.save_distribution(control_distribution(), dist_path)
+    assert main(["identify", "--dist", dist_path]) == 2
+    assert main(["identify", "--dist", write_near_degenerate(tmp_path)]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "no_hmp: no state count up to 2 fits",
+        "cannot_decide: borderline rank",
+    ]
+
+
 def test_paper_literal_remaps_cannot_decide(tmp_path):
     dist_path = write_near_degenerate(tmp_path)
     out_path = str(tmp_path / "verdict.json")

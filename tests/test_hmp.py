@@ -244,6 +244,12 @@ def test_validate_params_catches_bad_rows():
                                         np.ones(1)))
 
 
+def test_validate_params_names_initial_entries_with_one_index():
+    bad_initial = hi.HmpParams(2, np.eye(2), np.full((2, 2), 0.5), np.array([-0.2, 1.2]))
+    with pytest.raises(InvalidParamsError, match=r"^initial\[0\] = -0\.2$"):
+        hi.validate_params(bad_initial)
+
+
 def test_params_shape_errors():
     with pytest.raises(InvalidParamsError):
         hi.HmpParams(2, np.eye(3), np.full((2, 2), 0.5), np.array([0.5, 0.5]))

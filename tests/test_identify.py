@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 
@@ -88,10 +89,11 @@ def test_identify_validates_input():
 
 
 def test_trace_records_every_tested_count():
+    # the balanced ranks leave one candidate, so the trace has one entry
     verdict = hi.identify(hi.full_distribution(hi.vandermonde_example(2, [0.25, 0.75]), 3))
-    assert [entry.states for entry in verdict.trace] == [1, 2]
-    assert "rank pattern not met" in verdict.trace[0].note
-    assert verdict.trace[1].recovery.kind == hi.RECOVERED
+    assert [entry.states for entry in verdict.trace] == [2]
+    assert verdict.trace[0].rank_small.rank == 2
+    assert verdict.trace[0].recovery.kind == hi.RECOVERED
 
 
 def test_certify_round_trip():
@@ -131,6 +133,13 @@ def test_verdict_payload_no_hmp():
     assert payload["max_residual"] is None
 
 
+def wrap_in_package(monkeypatch, original, wrapper):
+    """Put wrapper in place of original wherever an hmpident module holds it by name."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hmpident" and getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, wrapper)
+
+
 def count_block_builds(monkeypatch):
     """Wrap hankel_block wherever the package holds it; returns the list of (m, k) built."""
     built = []
@@ -140,10 +149,21 @@ def count_block_builds(monkeypatch):
         built.append((m, k))
         return original(dist, m, k)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "hmpident" and getattr(module, "hankel_block", None) is original:
-            monkeypatch.setattr(module, "hankel_block", counted)
+    wrap_in_package(monkeypatch, original, counted)
     return built
+
+
+def count_ranked_shapes(monkeypatch):
+    """Wrap numerical_rank wherever the package holds it; returns the shapes ranked."""
+    ranked = []
+    original = hankel.numerical_rank
+
+    def counted(matrix, tol=None):
+        ranked.append(np.shape(matrix))
+        return original(matrix, tol)
+
+    wrap_in_package(monkeypatch, original, counted)
+    return ranked
 
 
 def test_identify_builds_the_balanced_blocks_once_and_no_small_block(monkeypatch):
@@ -151,8 +171,8 @@ def test_identify_builds_the_balanced_blocks_once_and_no_small_block(monkeypatch
     dist = hi.StringDistribution(9, table / table.sum())
     built = count_block_builds(monkeypatch)
     verdict = hi.identify(dist)
-    assert verdict.kind == hi.NO_HMP and len(verdict.trace) == 5
-    # tall before wide: the wide block stays alive for the loop
+    assert verdict.kind == hi.NO_HMP and len(verdict.trace) == 1
+    # tall before wide: the wide block stays alive for the small-block corner
     assert built == [(5, 4), (4, 5)]
 
 
@@ -162,6 +182,53 @@ def test_identify_builds_one_block_each_for_basis_and_inference(monkeypatch):
     verdict = hi.identify(dist)
     assert (verdict.kind, verdict.states) == (hi.HMP, 3)
     assert built == [(4, 3), (3, 4), (3, 2)]
+
+
+def test_full_rank_table_ranks_only_the_balanced_blocks(monkeypatch):
+    # wide rank 31 is above the cap of 5, so no small block can match
+    table = np.random.default_rng(9).uniform(0.1, 1.0, 2 ** 9)
+    dist = hi.StringDistribution(9, table / table.sum())
+    ranked = count_ranked_shapes(monkeypatch)
+    verdict = hi.identify(dist)
+    assert (verdict.kind, verdict.states) == (hi.NO_HMP, 5)
+    assert ranked == [(63, 31), (31, 63)]
+    assert verdict.trace[0].rank_small is None
+    assert "max_states 5" in verdict.trace[0].note
+
+
+def test_hmp_ranks_one_small_block(monkeypatch):
+    dist = hi.full_distribution(hi.random_stochastic(3, 1), 7)
+    ranked = count_ranked_shapes(monkeypatch)
+    verdict = hi.identify(dist)
+    assert (verdict.kind, verdict.states) == (hi.HMP, 3)
+    assert ranked == [(31, 15), (15, 31), (7, 7)]
+
+
+def test_small_blocks_of_other_counts_cannot_stop_the_decision(monkeypatch):
+    # only P_(2,2) can complete the rank pattern at e = 3; a borderline
+    # P_(e-1,e-1) at any other e must not turn the verdict into cannot_decide
+    original = hankel.numerical_rank
+
+    def borderline_small_blocks(matrix, tol=None):
+        report = original(matrix, tol)
+        rows, cols = np.shape(matrix)
+        if rows == cols and rows != 7:
+            return dataclasses.replace(report, confident=False)
+        return report
+
+    wrap_in_package(monkeypatch, original, borderline_small_blocks)
+    gen = hi.random_stochastic(3, 1)
+    verdict = hi.identify(hi.full_distribution(gen, 7))
+    assert (verdict.kind, verdict.states) == (hi.HMP, 3)
+    assert hi.equivalent_up_to_permutation(verdict.params, gen, 1e-6) is not None
+
+
+def test_unranked_small_block_is_null_in_the_payload():
+    dist = control_distribution()
+    payload = hi.verdict_to_jsonable(dist, hi.identify(dist))
+    assert len(payload["trace"]) == 1
+    assert payload["trace"][0]["rank_small"] is None
+    assert json.loads(dumps(payload))["trace"][0]["rank_small"] is None
 
 
 # the best-pivoted e x e submatrices of these blocks have cond ~1e5-1e6, so

@@ -118,7 +118,6 @@ def test_diagnostics_on_success():
     d = out.diagnostics
     assert d.min_eigenvalue_gap > 1e-7
     assert d.max_imag is not None and d.max_imag <= 1e-6
-    assert d.o1_residual is not None and d.o1_residual <= 1e-8
     assert abs(d.det_mixed) > 1e-10
 
 
