@@ -6,6 +6,12 @@ fixed length.  Construction only enforces shape and clamps tiny negative
 noise; the numeric invariants (entry range, unit sum) are checked separately
 by validate() so that intermediate tables, e.g. perturbed controls, can be
 built and inspected without passing validation first.
+
+A shorter string's probability is defined as p(u) = p(u0) + p(u1): every
+prefix marginal is the table with its last symbol summed out one step at a
+time.  That summation order is part of the definition, so the identity holds
+bit for bit between consecutive lengths, and a marginal of a given length is
+the same array however it was reached.
 """
 from __future__ import annotations
 
@@ -15,7 +21,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .errors import (LengthError, MissingKeyError, NegativeEntryError,
-                     EntryOutOfRangeError, NonFiniteError, SumNotOneError)
+                     EntryOutOfRangeError, NonFiniteError, SumNotOneError, check_order)
 from .jsonio import write_json
 from .strings import check_binary, string_index, string_name, strings_of_length
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
@@ -29,7 +35,7 @@ class StringDistribution:
 
     def __post_init__(self, tol):
         tol = tol or DEFAULT_TOLERANCES
-        _check_length(self.n)
+        check_order("n", self.n, 1)
         table = np.array(self.table, dtype=float)
         if table.shape != (2 ** self.n,):
             raise MissingKeyError(
@@ -51,7 +57,7 @@ class StringDistribution:
     @classmethod
     def from_dict(cls, n: int, probabilities: dict,
                   tol: ToleranceConfig | None = None) -> "StringDistribution":
-        _check_length(n)
+        check_order("n", n, 1)
         if not isinstance(probabilities, dict):
             raise MissingKeyError(f"probabilities is a {type(probabilities).__name__}, not a dict")
         count = len(probabilities)
@@ -66,11 +72,6 @@ class StringDistribution:
                 raise NonFiniteError(f"p({key}) = {p!r} is not a number")
             table[int(key, 2)] = p
         return cls(n, table, tol)
-
-
-def _check_length(n):
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise LengthError(f"string length must be a positive integer, got {n!r}")
 
 
 def validate(dist: StringDistribution, tol: ToleranceConfig | None = None):
@@ -89,10 +90,22 @@ def validate(dist: StringDistribution, tol: ToleranceConfig | None = None):
 
 
 def marginalize(dist: StringDistribution, m: int) -> np.ndarray:
-    """Length-m prefix marginal p(u) = sum_w p(uw), as a flat array of size 2^m."""
-    if not 0 <= m <= dist.n:
-        raise LengthError(f"marginal length {m} outside [0, {dist.n}]")
-    return dist.table.reshape(2 ** m, -1).sum(axis=1)
+    """Length-m prefix marginal p(u) = sum_w p(uw), as a flat array of size 2^m.
+
+    The last symbol is summed out n - m times, one step at a time, so
+    marginalize(dist, m) is bitwise _drop_last(marginalize(dist, m + 1)).  At
+    m = n this is the read-only table itself, not a copy.
+    """
+    check_order("m", m, 0, dist.n)
+    marg = dist.table
+    for _ in range(dist.n - m):
+        marg = _drop_last(marg)
+    return marg
+
+
+def _drop_last(marg: np.ndarray) -> np.ndarray:
+    """The marginal one symbol shorter: p(u) = p(u0) + p(u1)."""
+    return marg[0::2] + marg[1::2]
 
 
 def prefix_probability(dist: StringDistribution, u: str) -> float:
@@ -112,7 +125,7 @@ def is_stationary(dist: StringDistribution, tol: ToleranceConfig | None = None) 
     tol = tol or DEFAULT_TOLERANCES
     if dist.n < 2:
         raise LengthError("stationarity balance needs n >= 2")
-    drop_last = dist.table.reshape(-1, 2).sum(axis=1)
+    drop_last = marginalize(dist, dist.n - 1)
     drop_first = dist.table.reshape(2, -1).sum(axis=0)
     return float(np.max(np.abs(drop_last - drop_first))) <= tol.tol_stat
 

@@ -1,7 +1,8 @@
 """Exception types raised by the identification pipeline.
 
 Everything derives from ValueError so callers that do not care about the
-fine-grained category can catch a single base class.
+fine-grained category can catch a single base class.  check_order is the one
+check on integer arguments (string lengths, block orders, state counts).
 """
 
 
@@ -34,7 +35,15 @@ class InvalidParamsError(ValidationError):
 
 
 class LengthError(ValueError):
-    """A string length or block shape request is out of range."""
+    """A string length, block order or state count is not an integer in range."""
+
+
+def check_order(name: str, value, low: int, high: int | None = None):
+    """Raise LengthError unless value is an integer, not a bool, in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or value < low or (high is not None and value > high):
+        bounds = f"in [{low}, {high}]" if high is not None else f">= {low}"
+        raise LengthError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 class AlphabetError(ValueError):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import StringDistribution
-from .errors import DegenerateNormalizationError, LengthError
+from .errors import DegenerateNormalizationError, check_order
 from .hankel import corner, hankel_block, select_basis
 from .strings import check_binary
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
@@ -54,8 +54,7 @@ class FinitaryInference:
 
 def infer_finitary_detailed(dist: StringDistribution, e: int,
                             tol: ToleranceConfig | None = None) -> FinitaryInference:
-    if dist.n < 2 * e - 1:
-        raise LengthError(f"need n >= 2e-1 = {2 * e - 1}, got n = {dist.n}")
+    check_order("e", e, 1, (dist.n + 1) // 2)   # n >= 2e-1
     tol = tol or DEFAULT_TOLERANCES
     # P_{p,e,e-1}: row 0 is the empty string, row 2r+1+a is row r followed by a
     block = hankel_block(dist, e, e - 1).data

@@ -4,7 +4,10 @@ The block P_{p,m,k} has one row per string v with len(v) <= m, one column per
 string w with len(w) <= k, and entry p(vw).  Strings are ordered shortest
 first, lexicographically within a length, empty string first.  So P_{p,m,k} is
 the leading (2^(m+1)-1) x (2^(k+1)-1) corner of any larger block, and row r
-followed by symbol a is row 2r+1+a.  The rank of these blocks is what separates
+followed by symbol a is row 2r+1+a.  A block reads the table once: it takes
+the length-(m+k) marginal and halves it down to length 0, summing out the last
+symbol at each step exactly as marginalize defines it, so entries of one length
+are the same bits in every block.  The rank of these blocks is what separates
 processes generated by a small hidden state space from everything else, so
 rank estimation carries a confidence flag: a singular value sitting close to
 the cut means the decision should not be trusted either way.
@@ -15,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import StringDistribution, marginalize
-from .errors import LengthError, RankDeficientError
+from .distribution import StringDistribution, _drop_last, marginalize
+from .errors import LengthError, RankDeficientError, check_order
 from .strings import strings_up_to
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
@@ -37,19 +40,21 @@ class RankReport:
 
 def hankel_block(dist: StringDistribution, m: int, k: int) -> HankelBlock:
     """Block of all p(vw) with len(v) <= m, len(w) <= k."""
-    if m < 0 or k < 0:
-        raise LengthError(f"block orders must be nonnegative, got ({m}, {k})")
+    check_order("m", m, 0)
+    check_order("k", k, 0)
     if m + k > dist.n:
         raise LengthError(f"need m + k <= n: ({m}, {k}) vs n = {dist.n}")
-    marg = [marginalize(dist, length) for length in range(m + k + 1)]
     data = np.empty((2 ** (m + 1) - 1, 2 ** (k + 1) - 1))
-    # the (lv, lw) sub-block is exactly the length-(lv+lw) marginal reshaped:
-    # concatenation index is iv * 2^lw + iw
-    for lv in range(m + 1):
-        for lw in range(k + 1):
-            sub = marg[lv + lw].reshape(2 ** lv, 2 ** lw)
+    marg = marginalize(dist, m + k)
+    for length in range(m + k, -1, -1):
+        # the (lv, lw) sub-block is exactly the length-(lv+lw) marginal reshaped:
+        # concatenation index is iv * 2^lw + iw
+        for lv in range(max(0, length - k), min(m, length) + 1):
+            lw = length - lv
             data[2 ** lv - 1: 2 ** (lv + 1) - 1,
-                 2 ** lw - 1: 2 ** (lw + 1) - 1] = sub
+                 2 ** lw - 1: 2 ** (lw + 1) - 1] = marg.reshape(2 ** lv, 2 ** lw)
+        if length:
+            marg = _drop_last(marg)
     data.setflags(write=False)
     return HankelBlock(tuple(strings_up_to(m)), tuple(strings_up_to(k)), data)
 
@@ -88,6 +93,7 @@ def select_basis(data, e: int, tol: ToleranceConfig | None = None):
     the relative cut numerical_rank uses: the block has no rank-e part to
     project onto.
     """
+    check_order("e", e, 1)
     tol = tol or DEFAULT_TOLERANCES
     u, sigma, r = np.linalg.svd(np.asarray(data, dtype=float), full_matrices=False)
     if len(sigma) < e or sigma[e - 1] <= tol.rel_rank_tol * sigma[0]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .distribution import StringDistribution, validate
 from .errors import (DegenerateNormalizationError, RankDeficientError,
-                     WrongVerdictError)
+                     WrongVerdictError, check_order)
 from .finitary import infer_finitary
 from .hankel import RankReport, corner, hankel_block, numerical_rank
 from .hmp import HmpParams, full_distribution, params_to_jsonable
@@ -63,8 +63,7 @@ def identify(dist: StringDistribution, max_states: int | None = None,
     n = dist.n
     cap = max_states_cap(n)
     max_states = cap if max_states is None else max_states
-    if not 1 <= max_states <= cap:
-        raise ValueError(f"max_states must be in [1, {cap}] for n = {n}, got {max_states}")
+    check_order("max_states", max_states, 1, cap)
 
     # tall first, so it is never alive together with the wide block, which holds the small one
     tall = numerical_rank(hankel_block(dist, (n + 1) // 2, n // 2).data, tol)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import StringDistribution
-from .errors import LengthError, TooManyMinorsError
-from .hankel import hankel_block
+from .errors import LengthError, TooManyMinorsError, check_order
+from .hankel import corner, hankel_block
 
 MINOR_BUDGET = 10 ** 7
 _CHUNK = 2 ** 14
@@ -66,11 +66,10 @@ def _max_abs_minor(matrix: np.ndarray, k: int) -> float:
 
 def minor_membership(dist: StringDistribution, d: int, tol: float = 1e-9) -> MinorScanResult:
     n = dist.n
-    if n < 2 * d - 1:
-        raise LengthError(f"need n >= 2d-1 = {2 * d - 1}, got n = {n}")
+    check_order("d", d, 1, (n + 1) // 2)   # n >= 2d-1, so d-1 <= n // 2
     wide = hankel_block(dist, n // 2, (n + 1) // 2).data
     tall = hankel_block(dist, (n + 1) // 2, n // 2).data
-    small = hankel_block(dist, d - 1, d - 1).data
+    small = corner(wide, d - 1, d - 1)
 
     def safe_count(block, k):
         return minor_count(block.shape[0], block.shape[1], k) if k <= min(block.shape) else 0

@@ -219,3 +219,14 @@ def test_from_dict_accepts_any_key_order_and_numeric_type():
     assert np.array_equal(dist.table, [0.1, 0.2, 0.3, 0.4])
     dist = hi.StringDistribution.from_dict(1, {"1": np.float32(0.5), "0": np.int64(0)})
     assert np.array_equal(dist.table, [0.0, 0.5])
+
+
+def test_each_marginal_is_the_next_one_summed_over_its_last_symbol():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        n = int(rng.integers(2, 10))
+        table = rng.uniform(size=2 ** n)
+        dist = hi.StringDistribution(n, table / table.sum())
+        for m in range(n):
+            longer = hi.marginalize(dist, m + 1)
+            assert np.array_equal(hi.marginalize(dist, m), longer[0::2] + longer[1::2])

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import hmpident as hi
+from hmpident import distribution
 from hmpident.errors import LengthError, RankDeficientError
 from hmpident.hankel import corner
 from conftest import control_distribution, fair_coin_distribution
+from test_identify import wrap_in_package
 
 
 def random_table_distribution(n, seed):
@@ -162,3 +164,19 @@ def test_row_followed_by_a_symbol_is_row_2r_plus_1_plus_a():
         for r in range(2 ** e - 1):
             for a in (0, 1):
                 assert block.row_strings[2 * r + 1 + a] == block.row_strings[r] + str(a)
+
+
+def test_each_block_build_reads_one_marginal(monkeypatch):
+    lengths = []
+    original = distribution.marginalize
+
+    def counted(dist, m):
+        lengths.append(m)
+        return original(dist, m)
+
+    wrap_in_package(monkeypatch, original, counted)
+    dist = random_table_distribution(7, 5)
+    for m, k in ((0, 0), (1, 2), (2, 2), (3, 4), (4, 3)):
+        lengths.clear()
+        hi.hankel_block(dist, m, k)
+        assert lengths == [m + k]

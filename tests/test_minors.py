@@ -7,6 +7,7 @@ import hmpident as hi
 from hmpident.errors import LengthError, TooManyMinorsError
 from hmpident.minors import _max_abs_minor
 from conftest import control_distribution, fair_coin_distribution
+from test_identify import count_block_builds
 
 
 def test_minor_count_values():
@@ -91,3 +92,11 @@ def test_agreement_with_svd_rank():
         svd_member = all(r.rank == d for r in ranks)
         result = hi.minor_membership(dist, d)
         assert result.member == svd_member == expected
+
+
+def test_membership_builds_only_the_balanced_blocks(monkeypatch):
+    # the small block P_(d-1,d-1) is read as a corner of the wide block
+    built = count_block_builds(monkeypatch)
+    result = hi.minor_membership(hi.full_distribution(hi.random_stochastic(2, 6), 5), 2)
+    assert result.member
+    assert built == [(2, 3), (3, 2)]
