@@ -14,7 +14,10 @@ also writes one JSON line per case there (index, n, kind, states, reason), so
 - kinds: the verdict kind and state count alone, so a change that moves
   parameters in late digits can still show that no decision moved;
 - rank: rank, confidence and singular values of every block `hmpident rank`
-  reports (P_(e-1,e-1) for e up to the cap, then the wide and tall blocks);
+  reports (P_(e-1,e-1) for e up to the cap, then the wide and tall blocks).
+  Here every block is its own hankel_block array, while `hmpident rank`
+  reads the small blocks as corners of the wide block and ranks the one
+  balanced block once at even n, so this digest cross-checks that reuse;
 - inference: select_basis of the P_(e-1,e-1) corner of P_(e,e-1) and every
   infer_finitary_detailed field for each e up to the cap, or the exception
   each one raises.
@@ -100,9 +103,9 @@ def main():
         shapes = [(e - 1, e - 1) for e in range(1, cap + 1)]
         shapes += [(n // 2, (n + 1) // 2), ((n + 1) // 2, n // 2)]
         for m, k in shapes:
-            feed(ranks, hi.numerical_rank(hi.hankel_block(dist, m, k).data))
+            feed(ranks, hi.numerical_rank(hi.hankel_block(dist, m, k)))
         for e in range(1, cap + 1):
-            small = corner(hi.hankel_block(dist, e, e - 1).data, e - 1, e - 1)
+            small = corner(hi.hankel_block(dist, e, e - 1), e - 1, e - 1)
             feed(inference, outcome(hi.select_basis, small, e))
             feed(inference, outcome(hi.infer_finitary_detailed, dist, e))
     if args.cases:

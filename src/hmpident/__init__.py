@@ -19,7 +19,7 @@ from .hmp import (HmpParams, split, string_probability,
                   full_distribution, vandermonde_example, random_stochastic,
                   permute_states, equivalent_up_to_permutation, validate_params,
                   load_params, save_params)
-from .hankel import HankelBlock, RankReport, hankel_block, numerical_rank, select_basis
+from .hankel import RankReport, hankel_block, numerical_rank, select_basis
 from .finitary import (FinitaryParams, FinitaryInference, infer_finitary,
                        infer_finitary_detailed, finitary_probability,
                        process_constraint_residual)

@@ -20,7 +20,7 @@ import sys
 
 from . import __version__
 from .distribution import load_distribution, save_distribution, validate
-from .hankel import hankel_block, numerical_rank
+from .hankel import corner, hankel_block, numerical_rank
 from .hmp import (equivalent_up_to_permutation, full_distribution, load_params,
                   random_stochastic, validate_params)
 from .identify import CANNOT_DECIDE, HMP, NO_HMP, identify, max_states_cap, verdict_to_jsonable
@@ -139,11 +139,17 @@ def cmd_rank(args) -> int:
     dist = load_distribution(args.dist, tol)
     validate(dist, tol)
     n = dist.n
-    shapes = [(e - 1, e - 1) for e in range(1, max_states_cap(n) + 1)]
-    shapes += [(n // 2, (n + 1) // 2), ((n + 1) // 2, n // 2)]
+    half, rest = n // 2, (n + 1) // 2
+    # the small blocks P_(e-1,e-1) are corners of the wide block, which at even n
+    # is the tall block too; at odd n it is dropped before the tall one is built
+    shapes = [(e - 1, e - 1) for e in range(1, max_states_cap(n) + 1)] + [(half, rest)]
+    wide = hankel_block(dist, half, rest)
+    reports = [numerical_rank(corner(wide, m, k), tol) for m, k in shapes]
+    del wide
+    shapes.append((rest, half))
+    reports.append(numerical_rank(hankel_block(dist, rest, half), tol) if n % 2 else reports[-1])
     blocks = []
-    for m, k in shapes:
-        report = numerical_rank(hankel_block(dist, m, k).data, tol)
+    for (m, k), report in zip(shapes, reports):
         blocks.append({"m": m, "k": k, "rank": report.rank,
                        "confident": report.confident,
                        "singular_values": [float(s) for s in report.singular_values]})
@@ -161,13 +167,7 @@ def cmd_minors(args) -> int:
     dist = load_distribution(args.dist, tol)
     validate(dist, tol)
     result = minor_membership(dist, args.states, tol.rel_rank_tol)
-    payload = {"states": args.states,
-               "member": result.member,
-               "all_big_minors_vanish": result.all_big_minors_vanish,
-               "some_small_minor_nonzero": result.some_small_minor_nonzero,
-               "max_big_minor": result.max_big_minor,
-               "max_small_minor": result.max_small_minor,
-               "counts": result.counts}
+    payload = {"states": args.states, "member": result.member, **dataclasses.asdict(result)}
     if args.out:
         write_json(payload, args.out)
     print(f"member at d={args.states}: {result.member} "
@@ -177,6 +177,8 @@ def cmd_minors(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
+    if args.states < 1:
+        raise ValueError(f"--states must be at least 1, got {args.states}")
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     if args.length < 2 * args.states - 1:

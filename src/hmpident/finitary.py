@@ -57,7 +57,7 @@ def infer_finitary_detailed(dist: StringDistribution, e: int,
     check_order("e", e, 1, (dist.n + 1) // 2)   # n >= 2e-1
     tol = tol or DEFAULT_TOLERANCES
     # P_{p,e,e-1}: row 0 is the empty string, row 2r+1+a is row r followed by a
-    block = hankel_block(dist, e, e - 1).data
+    block = hankel_block(dist, e, e - 1)
     h = corner(block, e - 1, e - 1)
     u, sigma, r = select_basis(h, e, tol)
     raw_x = h[0] @ r.T

@@ -1,16 +1,18 @@
 """Finite Hankel blocks of a string distribution and their numerical rank.
 
-The block P_{p,m,k} has one row per string v with len(v) <= m, one column per
-string w with len(w) <= k, and entry p(vw).  Strings are ordered shortest
-first, lexicographically within a length, empty string first.  So P_{p,m,k} is
-the leading (2^(m+1)-1) x (2^(k+1)-1) corner of any larger block, and row r
-followed by symbol a is row 2r+1+a.  A block reads the table once: it takes
-the length-(m+k) marginal and halves it down to length 0, summing out the last
-symbol at each step exactly as marginalize defines it, so entries of one length
-are the same bits in every block.  The rank of these blocks is what separates
-processes generated by a small hidden state space from everything else, so
-rank estimation carries a confidence flag: a singular value sitting close to
-the cut means the decision should not be trusted either way.
+The block P_{p,m,k} is a read-only array with one row per string v with
+len(v) <= m, one column per string w with len(w) <= k, and entry p(vw).
+Strings are ordered shortest first, lexicographically within a length, empty
+string first: the rows are labelled by strings_up_to(m) and the columns by
+strings_up_to(k).  So P_{p,m,k} is the leading (2^(m+1)-1) x (2^(k+1)-1)
+corner of any larger block, and row r followed by symbol a is row 2r+1+a.
+A block reads the table once: it takes the length-(m+k) marginal and halves
+it down to length 0, summing out the last symbol at each step exactly as
+marginalize defines it, so entries of one length are the same bits in every
+block.  The rank of these blocks is what separates processes generated by a
+small hidden state space from everything else, so rank estimation carries a
+confidence flag: a singular value sitting close to the cut means the decision
+should not be trusted either way.
 """
 from __future__ import annotations
 
@@ -20,15 +22,7 @@ import numpy as np
 
 from .distribution import StringDistribution, _drop_last, marginalize
 from .errors import LengthError, RankDeficientError, check_order
-from .strings import strings_up_to
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
-
-
-@dataclass(frozen=True)
-class HankelBlock:
-    row_strings: tuple
-    col_strings: tuple
-    data: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -38,8 +32,8 @@ class RankReport:
     confident: bool
 
 
-def hankel_block(dist: StringDistribution, m: int, k: int) -> HankelBlock:
-    """Block of all p(vw) with len(v) <= m, len(w) <= k."""
+def hankel_block(dist: StringDistribution, m: int, k: int) -> np.ndarray:
+    """Read-only block of all p(vw) with len(v) <= m, len(w) <= k."""
     check_order("m", m, 0)
     check_order("k", k, 0)
     if m + k > dist.n:
@@ -56,12 +50,12 @@ def hankel_block(dist: StringDistribution, m: int, k: int) -> HankelBlock:
         if length:
             marg = _drop_last(marg)
     data.setflags(write=False)
-    return HankelBlock(tuple(strings_up_to(m)), tuple(strings_up_to(k)), data)
+    return data
 
 
-def corner(data: np.ndarray, m: int, k: int) -> np.ndarray:
-    """The entries of P_{p,m,k}, sliced out of the data of any block at least that large."""
-    return data[:2 ** (m + 1) - 1, :2 ** (k + 1) - 1]
+def corner(block: np.ndarray, m: int, k: int) -> np.ndarray:
+    """The entries of P_{p,m,k}, sliced out of any block at least that large."""
+    return block[:2 ** (m + 1) - 1, :2 ** (k + 1) - 1]
 
 
 def numerical_rank(matrix, tol: ToleranceConfig | None = None) -> RankReport:

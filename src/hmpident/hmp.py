@@ -22,7 +22,7 @@ import numpy as np
 from .distribution import StringDistribution
 from .errors import (CapExceededError, DimensionMismatchError,
                      DuplicateEigenvalueError, InvalidParamsError,
-                     InvalidPermutationError, StateCountTooLargeError)
+                     InvalidPermutationError, StateCountTooLargeError, check_order)
 from .finitary import FinitaryParams, finitary_probability
 from .jsonio import write_json
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
@@ -148,6 +148,7 @@ def vandermonde_example(d: int, lambdas) -> HmpParams:
 
 def random_stochastic(d: int, seed: int) -> HmpParams:
     """Row-normalized uniform draws; deterministic in (d, seed)."""
+    check_order("d", d, 1)
     rng = np.random.default_rng(seed)
     m = rng.uniform(size=(d, d))
     e = rng.uniform(size=(d, 2))

@@ -4,12 +4,13 @@ The distribution is an HMP on e states exactly when three Hankel blocks all
 have rank e: the small block P_{p,e-1,e-1} and the two balanced blocks
 P_{p,floor(n/2),ceil(n/2)} and P_{p,ceil(n/2),floor(n/2)}.  The balanced ranks
 do not depend on e, so only e = rank of the wide block can match, and only its
-small block is ranked.  When the pattern holds, inference plus recovery either
-produces a stochastic parametrization (verdict: HMP), shows the distribution
-is representable but not by any stochastic parametrization of this size
-(verdict: no HMP), or runs into a genericity failure, where the method is
-simply blind (verdict: cannot decide).  Borderline numerical rank likewise
-yields cannot-decide rather than a guess.
+small block is ranked, as a corner of the wide block.  At even n the two
+balanced blocks are one block, built and ranked once.  When the pattern holds,
+inference plus recovery either produces a stochastic parametrization (verdict:
+HMP), shows the distribution is representable but not by any stochastic
+parametrization of this size (verdict: no HMP), or runs into a genericity
+failure, where the method is simply blind (verdict: cannot decide).
+Borderline numerical rank likewise yields cannot-decide rather than a guess.
 """
 from __future__ import annotations
 
@@ -65,10 +66,11 @@ def identify(dist: StringDistribution, max_states: int | None = None,
     max_states = cap if max_states is None else max_states
     check_order("max_states", max_states, 1, cap)
 
-    # tall first, so it is never alive together with the wide block, which holds the small one
-    tall = numerical_rank(hankel_block(dist, (n + 1) // 2, n // 2).data, tol)
-    wide_data = hankel_block(dist, n // 2, (n + 1) // 2).data
+    # at odd n the tall block goes first, so it is never alive with the wide one
+    tall = numerical_rank(hankel_block(dist, (n + 1) // 2, n // 2), tol) if n % 2 else None
+    wide_data = hankel_block(dist, n // 2, (n + 1) // 2)
     wide = numerical_rank(wide_data, tol)
+    tall = tall or wide   # at even n the two balanced blocks are one
     e = wide.rank
     no_fit = f"no state count up to {max_states} fits"
 

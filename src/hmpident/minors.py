@@ -67,8 +67,8 @@ def _max_abs_minor(matrix: np.ndarray, k: int) -> float:
 def minor_membership(dist: StringDistribution, d: int, tol: float = 1e-9) -> MinorScanResult:
     n = dist.n
     check_order("d", d, 1, (n + 1) // 2)   # n >= 2d-1, so d-1 <= n // 2
-    wide = hankel_block(dist, n // 2, (n + 1) // 2).data
-    tall = hankel_block(dist, (n + 1) // 2, n // 2).data
+    wide = hankel_block(dist, n // 2, (n + 1) // 2)
+    tall = hankel_block(dist, (n + 1) // 2, n // 2)
     small = corner(wide, d - 1, d - 1)
 
     def safe_count(block, k):

@@ -6,8 +6,10 @@ import pytest
 
 import hmpident as hi
 from hmpident.cli import main
+from hmpident.jsonio import write_json
 from conftest import (control_distribution, fair_coin_params,
                       near_degenerate_params)
+from test_identify import count_block_builds
 
 
 def write_fair_coin(tmp_path):
@@ -99,6 +101,59 @@ def test_rank_command(tmp_path, capsys):
     assert "rank 3" in capsys.readouterr().out
 
 
+RANK_STDOUT = {
+    9: "P_(m=0,k=0): rank 1\nP_(m=1,k=1): rank 2\nP_(m=2,k=2): rank 3\n"
+       "P_(m=3,k=3): rank 3\nP_(m=4,k=4): rank 3\nP_(m=4,k=5): rank 3\n"
+       "P_(m=5,k=4): rank 3\n",
+    10: "P_(m=0,k=0): rank 1\nP_(m=1,k=1): rank 2\nP_(m=2,k=2): rank 3\n"
+        "P_(m=3,k=3): rank 3\nP_(m=4,k=4): rank 3\nP_(m=5,k=5): rank 3\n"
+        "P_(m=5,k=5): rank 3\n",
+}
+# (m, k, rank, confident, number of singular values) per reported block
+RANK_BLOCKS = {
+    9: [(0, 0, 1, True, 1), (1, 1, 2, True, 3), (2, 2, 3, True, 7), (3, 3, 3, True, 15),
+        (4, 4, 3, True, 31), (4, 5, 3, True, 31), (5, 4, 3, True, 31)],
+    10: [(0, 0, 1, True, 1), (1, 1, 2, True, 3), (2, 2, 3, True, 7), (3, 3, 3, True, 15),
+         (4, 4, 3, True, 31), (5, 5, 3, True, 63), (5, 5, 3, True, 63)],
+}
+
+
+def write_three_states(tmp_path, n):
+    dist = hi.full_distribution(hi.random_stochastic(3, 1), n)
+    path = str(tmp_path / "d3.json")
+    hi.save_distribution(dist, path)
+    return dist, path
+
+
+@pytest.mark.parametrize("n, builds", [(9, [(4, 5), (5, 4)]), (10, [(5, 5)])])
+def test_rank_command_builds_only_the_balanced_blocks(tmp_path, monkeypatch, n, builds):
+    # each small block is a corner of the wide block; at even n tall and wide are one block
+    _, dist_path = write_three_states(tmp_path, n)
+    built = count_block_builds(monkeypatch)
+    assert main(["rank", "--dist", dist_path]) == 0
+    assert built == builds
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_rank_command_report(tmp_path, capsys, n):
+    dist, dist_path = write_three_states(tmp_path, n)
+    out_path = tmp_path / "ranks.json"
+    assert main(["rank", "--dist", dist_path, "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == RANK_STDOUT[n]
+    payload = json.loads(out_path.read_text())
+    assert payload["n"] == n
+    assert [(b["m"], b["k"], b["rank"], b["confident"], len(b["singular_values"]))
+            for b in payload["blocks"]] == RANK_BLOCKS[n]
+    # byte for byte what ranking each block built on its own writes
+    expected = []
+    for m, k, *_ in RANK_BLOCKS[n]:
+        report = hi.numerical_rank(hi.hankel_block(dist, m, k))
+        expected.append({"m": m, "k": k, "rank": report.rank, "confident": report.confident,
+                         "singular_values": [float(s) for s in report.singular_values]})
+    write_json({"n": n, "blocks": expected}, tmp_path / "expected.json")
+    assert out_path.read_text() == (tmp_path / "expected.json").read_text()
+
+
 def test_minors_command(tmp_path, capsys):
     dist_path = str(tmp_path / "vdm.json")
     hi.save_distribution(
@@ -133,6 +188,14 @@ def test_roundtrip_needs_a_trial(capsys, trials):
     assert main(["roundtrip", "--states", "2", "--length", "3", "--trials", trials]) == 1
     out = capsys.readouterr()
     assert "error: --trials" in out.err and "recovered=" not in out.out
+
+
+@pytest.mark.parametrize("states", ["0", "-2"])
+def test_roundtrip_needs_a_state(capsys, states):
+    assert main(["roundtrip", "--states", states, "--length", "3"]) == 1
+    out = capsys.readouterr()
+    assert f"error: --states must be at least 1, got {states}" in out.err
+    assert "recovered=" not in out.out
 
 
 def test_minors_needs_a_state(tmp_path, capsys):

@@ -184,6 +184,18 @@ def test_identify_builds_one_block_each_for_basis_and_inference(monkeypatch):
     assert built == [(4, 3), (3, 4), (3, 2)]
 
 
+def test_even_n_builds_and_ranks_the_balanced_block_once(monkeypatch):
+    # at even n the wide and the tall block are both P_(n/2,n/2)
+    dist = hi.full_distribution(hi.random_stochastic(3, 1), 6)
+    built = count_block_builds(monkeypatch)
+    ranked = count_ranked_shapes(monkeypatch)
+    verdict = hi.identify(dist)
+    assert (verdict.kind, verdict.states) == (hi.HMP, 3)
+    assert built == [(3, 3), (3, 2)]
+    assert ranked == [(15, 15), (7, 7)]
+    assert verdict.trace[0].rank_tall is verdict.trace[0].rank_wide
+
+
 def test_full_rank_table_ranks_only_the_balanced_blocks(monkeypatch):
     # wide rank 31 is above the cap of 5, so no small block can match
     table = np.random.default_rng(9).uniform(0.1, 1.0, 2 ** 9)

@@ -20,6 +20,8 @@ DIST = fair_coin_distribution(3)
     (hi.infer_finitary, (DIST, 0), "e", 0),
     (hi.minor_membership, (DIST, 0), "d", 0),
     (hi.select_basis, (np.eye(3), 0), "e", 0),
+    (hi.random_stochastic, (-2, 0), "d", -2),
+    (hi.random_stochastic, (2.5, 0), "d", 2.5),
 ])
 def test_orders_and_counts_must_be_integers_in_range(fn, args, name, value):
     with pytest.raises(LengthError, match=rf"^{name} must be an integer .*, got {re.escape(repr(value))}$"):

@@ -82,9 +82,9 @@ def test_hankel_factorization_of_hmp():
             out = out @ (ops.t0 if a == "0" else ops.t1)
         return out
 
-    left = np.array([params.initial @ op_product(v) for v in block.row_strings])
-    right = np.array([op_product(w) @ np.ones(2) for w in block.col_strings]).T
-    assert np.max(np.abs(left @ right - block.data)) <= 1e-12
+    left = np.array([params.initial @ op_product(v) for v in hi.strings_up_to(2)])
+    right = np.array([op_product(w) @ np.ones(2) for w in hi.strings_up_to(2)]).T
+    assert np.max(np.abs(left @ right - block)) <= 1e-12
 
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
