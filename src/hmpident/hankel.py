@@ -12,10 +12,14 @@ marginalize defines it, so entries of one length are the same bits in every
 block.  The rank of these blocks is what separates processes generated by a
 small hidden state space from everything else, so rank estimation carries a
 confidence flag: a singular value sitting close to the cut means the decision
-should not be trusted either way.
+should not be trusted either way.  numerical_rank takes the full spectrum;
+sketched_rank returns the same answer for a large block of rank at most cap
+from a seeded sketch when a residual bound proves it, and otherwise calls
+numerical_rank.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +28,15 @@ from .distribution import StringDistribution, _drop_last, marginalize
 from .errors import LengthError, RankDeficientError, check_order
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
+EXACT_MAX_SIDE = 31                           # up to this short side the full SVD is the faster
+_ROUNDING = 64 * float(np.finfo(float).eps)   # per sqrt(column) and unit of sigma_max
+
 
 @dataclass(frozen=True)
 class RankReport:
+    """Rank at the cut and whether it is confident.  singular_values is the
+    whole spectrum, except in a report sketched_rank certified: there it is
+    the cap + 2 lower brackets sigma(Q^T A) of the leading singular values."""
     rank: int
     singular_values: np.ndarray
     confident: bool
@@ -78,6 +88,52 @@ def numerical_rank(matrix, tol: ToleranceConfig | None = None) -> RankReport:
     rank = int(np.count_nonzero(sigma > tau))
     borderline = np.any((sigma >= tau / tol.gap_ratio) & (sigma <= tau * tol.gap_ratio))
     return RankReport(rank, sigma, not bool(borderline))
+
+
+def sketched_rank(matrix, cap: int, tol: ToleranceConfig | None = None) -> RankReport:
+    """numerical_rank's (rank, confident), certified from a sketch when rank <= cap.
+
+    A seeded Gaussian range finder without power steps (Halko, Martinsson and
+    Tropp 2011, Alg. 4.1) takes l = cap + 2 columns: Q = qr(A Omega),
+    B = Q^T A, s = sigma(B).  With rho >= ||A - Q B||_F, Weyl's inequality
+    gives s_i <= sigma_i(A) <= s_i + rho, and sigma_i(A) <= rho for i >= l;
+    so sigma_max, and with it tau = rel_rank_tol * sigma_max, is bracketed
+    too.  Let r = #(s > gap_ratio * rel_rank_tol * s_1).  The report is
+    certified when for every tau in its bracket the first r singular values
+    lie above gap_ratio * tau and all others below tau / gap_ratio: that is
+    exactly when numerical_rank returns rank r, confident.  rho carries a
+    fixed rounding allowance, far below the band, on both sides of it, so
+    the rounding of the exact SVD cannot move its answer either.  A certified
+    report's singular_values are the l lower brackets s, not the whole
+    spectrum.  Every other block (short side at most EXACT_MAX_SIDE or l,
+    a sketch of full rank, a failed certificate) gets numerical_rank itself.
+    """
+    check_order("cap", cap, 1)
+    tol = tol or DEFAULT_TOLERANCES
+    a = np.asarray(matrix, dtype=float)
+    sketch = cap + 2
+    if min(a.shape) <= max(EXACT_MAX_SIDE, sketch):
+        return numerical_rank(a, tol)
+    omega = np.random.default_rng(0).standard_normal((a.shape[1], sketch))
+    q = np.linalg.qr(a @ omega)[0]
+    b = q.T @ a
+    s = np.linalg.svd(b, compute_uv=False)
+    top, hi, lo = float(s[0]), tol.gap_ratio * tol.rel_rank_tol, tol.rel_rank_tol / tol.gap_ratio
+    rank = int(np.count_nonzero(s > hi * top))
+    if rank >= sketch:   # a full-rank sketch brackets nothing below it
+        return numerical_rank(a, tol)
+    rho = _residual_norm(a, q, b) + _ROUNDING * math.sqrt(a.shape[1]) * top
+    # r = 0 only when s = 0, and then s[r - 1] = s[-1] = 0 fails the first test
+    if s[rank - 1] - rho > hi * (top + rho) and s[rank] + rho < lo * top:
+        return RankReport(rank, s, True)
+    return numerical_rank(a, tol)
+
+
+def _residual_norm(a: np.ndarray, q: np.ndarray, b: np.ndarray) -> float:
+    """||a - q b||_F with one block-sized temporary."""
+    residual = q @ b
+    residual -= a
+    return float(np.linalg.norm(residual))
 
 
 def select_basis(data, e: int, tol: ToleranceConfig | None = None):

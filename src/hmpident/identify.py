@@ -5,7 +5,10 @@ have rank e: the small block P_{p,e-1,e-1} and the two balanced blocks
 P_{p,floor(n/2),ceil(n/2)} and P_{p,ceil(n/2),floor(n/2)}.  The balanced ranks
 do not depend on e, so only e = rank of the wide block can match, and only its
 small block is ranked, as a corner of the wide block.  At even n the two
-balanced blocks are one block, built and ranked once.  When the pattern holds,
+balanced blocks are one block, built and ranked once.  The balanced ranks come
+from sketched_rank, which certifies from a sketch of cap + 2 columns what the
+full SVD would answer and falls back to it otherwise; the small block is
+ranked by the full SVD.  When the pattern holds,
 inference plus recovery either produces a stochastic parametrization (verdict:
 HMP), shows the distribution is representable but not by any stochastic
 parametrization of this size (verdict: no HMP), or runs into a genericity
@@ -22,7 +25,7 @@ from .distribution import StringDistribution, validate
 from .errors import (DegenerateNormalizationError, RankDeficientError,
                      WrongVerdictError, check_order)
 from .finitary import infer_finitary
-from .hankel import RankReport, corner, hankel_block, numerical_rank
+from .hankel import RankReport, corner, hankel_block, numerical_rank, sketched_rank
 from .hmp import HmpParams, full_distribution, params_to_jsonable
 from .recover import NOT_STOCHASTIC, RECOVERED, RecoveryOutcome, recover_hmm
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
@@ -38,6 +41,8 @@ CERTIFY_TOL = 1e-6
 class TraceEntry:
     states: int
     rank_small: RankReport | None   # P_{p,e-1,e-1}; None when not ranked
+    # the balanced blocks are ranked by sketched_rank: a certified report
+    # holds cap + 2 lower brackets in singular_values, not the spectrum
     rank_wide: RankReport           # P_{p,floor(n/2),ceil(n/2)}
     rank_tall: RankReport           # P_{p,ceil(n/2),floor(n/2)}
     recovery: RecoveryOutcome | None
@@ -67,9 +72,9 @@ def identify(dist: StringDistribution, max_states: int | None = None,
     check_order("max_states", max_states, 1, cap)
 
     # at odd n the tall block goes first, so it is never alive with the wide one
-    tall = numerical_rank(hankel_block(dist, (n + 1) // 2, n // 2), tol) if n % 2 else None
+    tall = sketched_rank(hankel_block(dist, (n + 1) // 2, n // 2), cap, tol) if n % 2 else None
     wide_data = hankel_block(dist, n // 2, (n + 1) // 2)
-    wide = numerical_rank(wide_data, tol)
+    wide = sketched_rank(wide_data, cap, tol)
     tall = tall or wide   # at even n the two balanced blocks are one
     e = wide.rank
     no_fit = f"no state count up to {max_states} fits"

@@ -68,20 +68,21 @@ def minor_membership(dist: StringDistribution, d: int, tol: float = 1e-9) -> Min
     n = dist.n
     check_order("d", d, 1, (n + 1) // 2)   # n >= 2d-1, so d-1 <= n // 2
     wide = hankel_block(dist, n // 2, (n + 1) // 2)
-    tall = hankel_block(dist, (n + 1) // 2, n // 2)
+    # at even n the two balanced blocks are one block, built and scanned once
+    big = [wide, hankel_block(dist, (n + 1) // 2, n // 2)] if n % 2 else [wide]
     small = corner(wide, d - 1, d - 1)
 
     def safe_count(block, k):
         return minor_count(block.shape[0], block.shape[1], k) if k <= min(block.shape) else 0
 
-    big_count = safe_count(wide, d + 1) + safe_count(tall, d + 1)
+    big_count = sum(safe_count(block, d + 1) for block in big)
     if big_count > MINOR_BUDGET:
         raise TooManyMinorsError(f"{big_count} minors exceed the budget of {MINOR_BUDGET}")
     small_count = safe_count(small, d)
 
-    max_big = max(_max_abs_minor(wide, d + 1), _max_abs_minor(tall, d + 1))
+    max_big = max(_max_abs_minor(block, d + 1) for block in big)
     max_small = _max_abs_minor(small, d)
-    big_threshold = tol * max(np.abs(wide).max(), np.abs(tall).max()) ** (d + 1)
+    big_threshold = tol * max(np.abs(block).max() for block in big) ** (d + 1)
     small_threshold = tol * np.abs(small).max() ** d
     return MinorScanResult(
         all_big_minors_vanish=bool(max_big <= big_threshold),

@@ -100,3 +100,12 @@ def test_membership_builds_only_the_balanced_blocks(monkeypatch):
     result = hi.minor_membership(hi.full_distribution(hi.random_stochastic(2, 6), 5), 2)
     assert result.member
     assert built == [(2, 3), (3, 2)]
+
+
+def test_even_n_scans_the_one_balanced_block_once(monkeypatch):
+    # at n=4 the wide and the tall block are both P_(2,2), a 7x7 block
+    built = count_block_builds(monkeypatch)
+    result = hi.minor_membership(hi.full_distribution(hi.random_stochastic(2, 1), 4), 2)
+    assert result.member
+    assert result.counts["big"] == hi.minor_count(7, 7, 3) == 1225
+    assert built == [(2, 2)]

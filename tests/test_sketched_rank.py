@@ -1,0 +1,169 @@
+"""sketched_rank answers exactly what numerical_rank answers, or asks it."""
+import numpy as np
+import pytest
+
+import hmpident as hi
+from hmpident import hankel
+from hmpident.errors import LengthError
+from hmpident.hankel import sketched_rank
+from hmpident.identify import max_states_cap
+from conftest import near_degenerate_params
+from test_identify import count_ranked_shapes
+
+
+def uniform_distribution(n, seed):
+    table = np.random.default_rng([n, seed]).random(2 ** n)
+    return hi.StringDistribution(n, table / table.sum())
+
+
+def balanced_blocks(dist):
+    n = dist.n
+    shapes = {(n // 2, (n + 1) // 2), ((n + 1) // 2, n // 2)}
+    return [hi.hankel_block(dist, m, k) for m, k in sorted(shapes)]
+
+
+def rank_both_ways(monkeypatch, block, cap):
+    """(sketched report, exact report, whether the sketch asked numerical_rank)."""
+    exact = hankel.numerical_rank(block)
+    ranked = count_ranked_shapes(monkeypatch)
+    sketched = sketched_rank(block, cap)
+    monkeypatch.undo()
+    return sketched, exact, bool(ranked)
+
+
+def assert_same_answer(sketched, exact):
+    assert (sketched.rank, sketched.confident) == (exact.rank, exact.confident)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_same_answer_as_the_full_svd_on_generators(monkeypatch, d):
+    certified = 0
+    for n in range(10, 18):
+        for seed in range(10):
+            dist = hi.full_distribution(hi.random_stochastic(d, seed), n)
+            for block in balanced_blocks(dist):
+                sketched, exact, fell_back = rank_both_ways(monkeypatch, block, max_states_cap(n))
+                assert_same_answer(sketched, exact)
+                certified += not fell_back
+    if d <= 6:   # rank d fits under every cap from n = 12 on
+        assert certified > 0
+
+
+@pytest.mark.parametrize("n", [13, 15, 17])
+def test_same_answer_as_the_full_svd_on_uniform_tables(monkeypatch, n):
+    for seed in range(3):
+        for block in balanced_blocks(uniform_distribution(n, seed)):
+            sketched, exact, fell_back = rank_both_ways(monkeypatch, block, max_states_cap(n))
+            assert_same_answer(sketched, exact)
+            # full rank: the sketch cannot see the whole spectrum
+            assert fell_back and sketched.singular_values.size == min(block.shape)
+
+
+@pytest.mark.parametrize("gap", [1e-9, 5e-8, 1e-6])
+@pytest.mark.parametrize("n", [13, 15])
+def test_same_answer_as_the_full_svd_near_degenerate(monkeypatch, gap, n):
+    dist = hi.full_distribution(near_degenerate_params(gap), n)
+    for block in balanced_blocks(dist):
+        sketched, exact, _ = rank_both_ways(monkeypatch, block, max_states_cap(n))
+        assert_same_answer(sketched, exact)
+
+
+def test_identify_takes_the_certified_path(monkeypatch):
+    # only the small block P_(e-1,e-1) = P_(5,5) reaches the full SVD
+    dist = hi.full_distribution(hi.random_stochastic(6, 1), 15)
+    ranked = count_ranked_shapes(monkeypatch)
+    verdict = hi.identify(dist)
+    assert (verdict.kind, verdict.states) == (hi.HMP, 6)
+    assert ranked == [(63, 63)]
+    assert verdict.trace[0].rank_wide.confident and verdict.trace[0].rank_tall.confident
+
+
+def test_uniform_table_falls_back(monkeypatch):
+    block = hi.hankel_block(uniform_distribution(13, 0), 6, 7)
+    ranked = count_ranked_shapes(monkeypatch)
+    report = sketched_rank(block, max_states_cap(13))
+    assert ranked == [(127, 255)]
+    assert (report.rank, report.confident) == (127, True)
+
+
+def test_borderline_block_falls_back(monkeypatch):
+    # the gap-1e-9 rank-2 signal sits inside the confidence band
+    block = hi.hankel_block(hi.full_distribution(near_degenerate_params(1e-9), 13), 6, 7)
+    ranked = count_ranked_shapes(monkeypatch)
+    report = sketched_rank(block, max_states_cap(13))
+    assert ranked == [(127, 255)]
+    assert not report.confident
+
+
+def test_residual_refuses_what_the_sketch_misses(monkeypatch):
+    # sigma_2 = 2e-10 sits in the band [1e-10, 1e-8]; a 3-column sketch sees
+    # the tail of 3e-11 instead, so only the residual bound shows the doubt
+    sigma = np.full(800, 3e-11)
+    sigma[:2] = 1.0, 2e-10
+    residuals = []
+    original = hankel._residual_norm
+
+    def recorded(a, q, b):
+        residuals.append(original(a, q, b))
+        return residuals[-1]
+
+    monkeypatch.setattr(hankel, "_residual_norm", recorded)
+    ranked = count_ranked_shapes(monkeypatch)
+    report = sketched_rank(np.diag(sigma), 1)
+    assert len(residuals) == 1 and residuals[0] > 1e-10
+    assert ranked == [(800, 800)]
+    assert (report.rank, report.confident) == (1, False)
+
+
+def test_certified_report_holds_lower_brackets_of_the_spectrum(monkeypatch):
+    n = 15
+    block = hi.hankel_block(hi.full_distribution(hi.random_stochastic(4, 2), n), 7, 8)
+    sketched, exact, fell_back = rank_both_ways(monkeypatch, block, max_states_cap(n))
+    assert not fell_back and (sketched.rank, sketched.confident) == (4, True)
+    sketch = max_states_cap(n) + 2
+    assert sketched.singular_values.shape == (sketch,)
+    top = exact.singular_values[0]
+    assert np.all(sketched.singular_values <= exact.singular_values[:sketch] + 1e-12 * top)
+    assert sketched.singular_values[:4] == pytest.approx(exact.singular_values[:4], rel=1e-9)
+
+
+def test_deterministic():
+    block = hi.hankel_block(hi.full_distribution(hi.random_stochastic(5, 3), 15), 7, 8)
+    first, second = sketched_rank(block, 8), sketched_rank(block, 8)
+    assert (first.rank, first.confident) == (second.rank, second.confident)
+    assert np.array_equal(first.singular_values, second.singular_values)
+
+
+def test_small_blocks_take_the_exact_path(monkeypatch):
+    block = hi.hankel_block(hi.full_distribution(hi.random_stochastic(3, 1), 9), 4, 5)
+    assert min(block.shape) == hankel.EXACT_MAX_SIDE
+    ranked = count_ranked_shapes(monkeypatch)
+    report = sketched_rank(block, max_states_cap(9))
+    assert ranked == [(31, 63)]
+    assert np.array_equal(report.singular_values, hankel.numerical_rank(block).singular_values)
+
+
+def test_cap_must_be_positive():
+    block = hi.hankel_block(uniform_distribution(13, 0), 6, 7)
+    with pytest.raises(LengthError):
+        sketched_rank(block, 0)
+
+
+def test_sketch_wider_than_the_block_takes_the_exact_path(monkeypatch):
+    block = hi.hankel_block(uniform_distribution(13, 0), 6, 7)
+    ranked = count_ranked_shapes(monkeypatch)
+    report = sketched_rank(block, 126)   # l = 128 columns against 127 rows
+    assert ranked == [(127, 255)]
+    assert (report.rank, report.confident) == (127, True)
+
+
+def test_not_a_public_name():
+    assert "sketched_rank" not in hi.__all__
+
+
+def test_blocks_past_the_exact_side_are_sketched(monkeypatch):
+    block = hi.hankel_block(hi.full_distribution(hi.random_stochastic(3, 1), 11), 5, 6)
+    assert min(block.shape) == 2 * hankel.EXACT_MAX_SIDE + 1
+    ranked = count_ranked_shapes(monkeypatch)
+    report = sketched_rank(block, max_states_cap(11))
+    assert ranked == [] and (report.rank, report.confident) == (3, True)
