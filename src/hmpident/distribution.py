@@ -36,10 +36,17 @@ class StringDistribution:
     def __post_init__(self, tol):
         tol = tol or DEFAULT_TOLERANCES
         check_order("n", self.n, 1)
-        table = np.array(self.table, dtype=float)
-        if table.shape != (2 ** self.n,):
+        try:
+            raw = np.asarray(self.table)
+        except ValueError:   # numpy refuses a ragged nesting
+            raise MissingKeyError(f"table must be a flat array of 2^{self.n} entries, "
+                                  "got a ragged nesting") from None
+        if raw.shape != (2 ** self.n,):
             raise MissingKeyError(
-                f"table must have exactly 2^{self.n} entries, got shape {table.shape}")
+                f"table must have exactly 2^{self.n} entries, got shape {raw.shape}")
+        if raw.dtype.kind not in "iuf":   # a cast would drop imaginary parts or parse text
+            raise NonFiniteError(f"table entries must be real numbers, got dtype {raw.dtype}")
+        table = raw.astype(float)
         # floating-point noise from upstream arithmetic, not a real sign violation
         table[(table >= -tol.tol_entry) & (table < 0.0)] = 0.0
         table.setflags(write=False)

@@ -12,10 +12,12 @@ marginalize defines it, so entries of one length are the same bits in every
 block.  The rank of these blocks is what separates processes generated by a
 small hidden state space from everything else, so rank estimation carries a
 confidence flag: a singular value sitting close to the cut means the decision
-should not be trusted either way.  numerical_rank takes the full spectrum;
-sketched_rank returns the same answer for a large block of rank at most cap
-from a seeded sketch when a residual bound proves it, and otherwise calls
-numerical_rank.
+should not be trusted either way.  numerical_rank takes the full spectrum.
+sketched_rank answers the question a decision about at most cap states asks:
+the rank up to cap + 1, with the band tested on sigma_1..sigma_(cap+1) only.
+It proves that answer from a seeded sketch when it can (a residual bound at
+rank at most cap + 1, the Frobenius norm above the cap), and otherwise reads
+numerical_rank's spectrum the same way.
 """
 from __future__ import annotations
 
@@ -34,9 +36,11 @@ _ROUNDING = 64 * float(np.finfo(float).eps)   # per sqrt(column) and unit of sig
 
 @dataclass(frozen=True)
 class RankReport:
-    """Rank at the cut and whether it is confident.  singular_values is the
-    whole spectrum, except in a report sketched_rank certified: there it is
-    the cap + 2 lower brackets sigma(Q^T A) of the leading singular values."""
+    """Rank at the cut and whether it is confident; from sketched_rank, a
+    rank above cap is cap + 1.  singular_values is the whole spectrum, except
+    in a report sketched_rank certified from its sketch: there it is the
+    cap + 2 lower brackets sigma(Q^T A) of the leading singular values, of a
+    rank at most cap + 1 or of a rank above the cap."""
     rank: int
     singular_values: np.ndarray
     confident: bool
@@ -80,53 +84,70 @@ def numerical_rank(matrix, tol: ToleranceConfig | None = None) -> RankReport:
     a = np.asarray(matrix, dtype=float)
     if a.size == 0:
         raise LengthError("rank of an empty matrix is undefined here")
-    sigma = np.linalg.svd(a, compute_uv=False)
+    return _rank_at_cut(np.linalg.svd(a, compute_uv=False), tol)
+
+
+def _rank_at_cut(sigma: np.ndarray, tol: ToleranceConfig, cap: int | None = None) -> RankReport:
+    """The rank and band test of numerical_rank on a spectrum; with a cap, only
+    sigma_1..sigma_(cap+1) are counted and tested, so a rank above cap is cap + 1."""
     sigma_max = float(sigma[0])
     if sigma_max == 0.0:
         return RankReport(0, sigma, True)
     tau = tol.rel_rank_tol * sigma_max
-    rank = int(np.count_nonzero(sigma > tau))
-    borderline = np.any((sigma >= tau / tol.gap_ratio) & (sigma <= tau * tol.gap_ratio))
+    head = sigma if cap is None else sigma[:cap + 1]
+    rank = int(np.count_nonzero(head > tau))
+    borderline = np.any((head >= tau / tol.gap_ratio) & (head <= tau * tol.gap_ratio))
     return RankReport(rank, sigma, not bool(borderline))
 
 
 def sketched_rank(matrix, cap: int, tol: ToleranceConfig | None = None) -> RankReport:
-    """numerical_rank's (rank, confident), certified from a sketch when rank <= cap.
+    """numerical_rank's (rank, confident) up to cap + 1, certified from a sketch.
 
-    A seeded Gaussian range finder without power steps (Halko, Martinsson and
-    Tropp 2011, Alg. 4.1) takes l = cap + 2 columns: Q = qr(A Omega),
-    B = Q^T A, s = sigma(B).  With rho >= ||A - Q B||_F, Weyl's inequality
-    gives s_i <= sigma_i(A) <= s_i + rho, and sigma_i(A) <= rho for i >= l;
-    so sigma_max, and with it tau = rel_rank_tol * sigma_max, is bracketed
-    too.  Let r = #(s > gap_ratio * rel_rank_tol * s_1).  The report is
-    certified when for every tau in its bracket the first r singular values
-    lie above gap_ratio * tau and all others below tau / gap_ratio: that is
-    exactly when numerical_rank returns rank r, confident.  rho carries a
-    fixed rounding allowance, far below the band, on both sides of it, so
-    the rounding of the exact SVD cannot move its answer either.  A certified
-    report's singular_values are the l lower brackets s, not the whole
-    spectrum.  Every other block (short side at most EXACT_MAX_SIDE or l,
-    a sketch of full rank, a failed certificate) gets numerical_rank itself.
+    Only sigma_1..sigma_(cap+1) can move a decision about at most cap states,
+    so this answers numerical_rank with its band tested on those alone and a
+    rank above cap reported as cap + 1.  For rank at most cap that is
+    numerical_rank's answer itself.  A seeded Gaussian range finder without
+    power steps (Halko, Martinsson and Tropp 2011, Alg. 4.1) takes l = cap + 2
+    columns: Q = qr(A Omega), B = Q^T A, s = sigma(B), and s_i <= sigma_i(A).
+    Two certificates read s:
+
+    - above the cap: sigma_max <= ||A||_F, so s_(cap+1) > gap_ratio *
+      rel_rank_tol * ||A||_F puts sigma_1..sigma_(cap+1) above the band for
+      every tau, and the report is cap + 1, confident;
+    - at rank r <= cap + 1, with r = #(s > gap_ratio * rel_rank_tol * s_1):
+      with rho >= ||A - Q B||_F, Weyl's inequality gives s_i <= sigma_i(A) <=
+      s_i + rho, and sigma_i(A) <= rho for i >= l, so tau is bracketed too.
+      The report is r, confident, when for every tau in its bracket the first
+      r singular values lie above gap_ratio * tau and all others below
+      tau / gap_ratio.
+
+    Both carry a fixed rounding allowance, far below the band, so the rounding
+    of the exact SVD cannot move its answer either.  A certified report's
+    singular_values are the l lower brackets s, not the whole spectrum.  Every
+    other block (short side at most EXACT_MAX_SIDE or l, a failed certificate)
+    gets numerical_rank, read up to cap + 1 the same way.
     """
     check_order("cap", cap, 1)
     tol = tol or DEFAULT_TOLERANCES
     a = np.asarray(matrix, dtype=float)
     sketch = cap + 2
-    if min(a.shape) <= max(EXACT_MAX_SIDE, sketch):
-        return numerical_rank(a, tol)
-    omega = np.random.default_rng(0).standard_normal((a.shape[1], sketch))
-    q = np.linalg.qr(a @ omega)[0]
-    b = q.T @ a
-    s = np.linalg.svd(b, compute_uv=False)
-    top, hi, lo = float(s[0]), tol.gap_ratio * tol.rel_rank_tol, tol.rel_rank_tol / tol.gap_ratio
-    rank = int(np.count_nonzero(s > hi * top))
-    if rank >= sketch:   # a full-rank sketch brackets nothing below it
-        return numerical_rank(a, tol)
-    rho = _residual_norm(a, q, b) + _ROUNDING * math.sqrt(a.shape[1]) * top
-    # r = 0 only when s = 0, and then s[r - 1] = s[-1] = 0 fails the first test
-    if s[rank - 1] - rho > hi * (top + rho) and s[rank] + rho < lo * top:
-        return RankReport(rank, s, True)
-    return numerical_rank(a, tol)
+    if min(a.shape) > max(EXACT_MAX_SIDE, sketch):
+        omega = np.random.default_rng(0).standard_normal((a.shape[1], sketch))
+        q = np.linalg.qr(a @ omega)[0]
+        b = q.T @ a
+        s = np.linalg.svd(b, compute_uv=False)
+        top = float(s[0])
+        hi, lo = tol.gap_ratio * tol.rel_rank_tol, tol.rel_rank_tol / tol.gap_ratio
+        rank = int(np.count_nonzero(s > hi * top))
+        allowance = _ROUNDING * math.sqrt(a.shape[1]) * top
+        if rank > cap and s[cap] - allowance > hi * float(np.linalg.norm(a)):
+            return RankReport(cap + 1, s, True)
+        if rank < sketch:   # a full-rank sketch brackets nothing below it
+            rho = _residual_norm(a, q, b) + allowance
+            # r = 0 only when s = 0, and then s[r - 1] = s[-1] = 0 fails the first test
+            if s[rank - 1] - rho > hi * (top + rho) and s[rank] + rho < lo * top:
+                return RankReport(rank, s, True)
+    return _rank_at_cut(numerical_rank(a, tol).singular_values, tol, cap)
 
 
 def _residual_norm(a: np.ndarray, q: np.ndarray, b: np.ndarray) -> float:

@@ -6,9 +6,12 @@ P_{p,floor(n/2),ceil(n/2)} and P_{p,ceil(n/2),floor(n/2)}.  The balanced ranks
 do not depend on e, so only e = rank of the wide block can match, and only its
 small block is ranked, as a corner of the wide block.  At even n the two
 balanced blocks are one block, built and ranked once.  The balanced ranks come
-from sketched_rank, which certifies from a sketch of cap + 2 columns what the
-full SVD would answer and falls back to it otherwise; the small block is
-ranked by the full SVD.  When the pattern holds,
+from sketched_rank, which asks only what a decision on at most cap states
+needs: the rank up to cap + 1, with the confidence band tested on
+sigma_1..sigma_(cap+1).  It certifies that answer from a sketch of cap + 2
+columns, so a table of rank above the cap needs no full SVD, and falls back
+to the full SVD otherwise; a balanced rank above the cap is reported as
+cap + 1.  The small block is ranked by the full SVD.  When the pattern holds,
 inference plus recovery either produces a stochastic parametrization (verdict:
 HMP), shows the distribution is representable but not by any stochastic
 parametrization of this size (verdict: no HMP), or runs into a genericity
@@ -41,8 +44,9 @@ CERTIFY_TOL = 1e-6
 class TraceEntry:
     states: int
     rank_small: RankReport | None   # P_{p,e-1,e-1}; None when not ranked
-    # the balanced blocks are ranked by sketched_rank: a certified report
-    # holds cap + 2 lower brackets in singular_values, not the spectrum
+    # the balanced blocks are ranked by sketched_rank: a rank above the cap is
+    # cap + 1, and singular_values is the full spectrum when the exact SVD
+    # answered, else the cap + 2 lower brackets the sketch certified from
     rank_wide: RankReport           # P_{p,floor(n/2),ceil(n/2)}
     rank_tall: RankReport           # P_{p,ceil(n/2),floor(n/2)}
     recovery: RecoveryOutcome | None

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,23 @@ def test_missing_and_extra_keys():
             1, {"0": 0.5, "1": 0.5, "00": 0.0})
     with pytest.raises(MissingKeyError):
         hi.StringDistribution(2, np.full(3, 0.25))
+
+
+def test_text_entries_are_a_typed_error():
+    with pytest.raises(NonFiniteError, match="real numbers"):
+        hi.StringDistribution(2, ["a", "b", "c", "d"])
+
+
+def test_ragged_table_is_a_typed_error():
+    with pytest.raises(MissingKeyError, match="ragged"):
+        hi.StringDistribution(1, [[0.5], [0.5, 0.0]])
+
+
+def test_complex_table_is_a_typed_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no ComplexWarning on the way to the error
+        with pytest.raises(NonFiniteError, match="real numbers"):
+            hi.StringDistribution(1, [0.5 + 1j, 0.5])
 
 
 def test_tiny_negative_noise_clamped_on_ingestion():

@@ -1,4 +1,6 @@
-"""sketched_rank answers exactly what numerical_rank answers, or asks it."""
+"""sketched_rank answers what numerical_rank answers read up to cap + 1, or asks it."""
+import functools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from hmpident import hankel
 from hmpident.errors import LengthError
 from hmpident.hankel import sketched_rank
 from hmpident.identify import max_states_cap
+from hmpident.tolerances import DEFAULT_TOLERANCES
 from conftest import near_degenerate_params
 from test_identify import count_ranked_shapes
 
@@ -35,28 +38,72 @@ def assert_same_answer(sketched, exact):
     assert (sketched.rank, sketched.confident) == (exact.rank, exact.confident)
 
 
+def sketch_counted(monkeypatch, block, cap):
+    """(sketched report, whether the sketch asked numerical_rank)."""
+    ranked = count_ranked_shapes(monkeypatch)
+    sketched = sketched_rank(block, cap)
+    monkeypatch.undo()
+    return sketched, bool(ranked)
+
+
+def up_to_cap(exact, cap):
+    """An exact report read the way sketched_rank answers: up to cap + 1."""
+    return hankel._rank_at_cut(exact.singular_values, DEFAULT_TOLERANCES, cap)
+
+
+def generator_distribution(d, n, seed):
+    return hi.full_distribution(hi.random_stochastic(d, seed), n)
+
+
+# the generator sweep (d = 1..8) and the uniform sweep (d None)
+SWEEPS = {**{d: [(n, seed) for n in range(10, 18) for seed in range(10)] for d in range(1, 9)},
+          None: [(n, seed) for n in (13, 15, 17) for seed in range(3)]}
+
+
+@functools.lru_cache(maxsize=None)
+def exact_reports(d, n, seed):
+    """numerical_rank of each balanced block of a sweep's table; d None is a uniform table."""
+    dist = uniform_distribution(n, seed) if d is None else generator_distribution(d, n, seed)
+    return tuple(hankel.numerical_rank(block) for block in balanced_blocks(dist))
+
+
 @pytest.mark.parametrize("d", range(1, 9))
 def test_same_answer_as_the_full_svd_on_generators(monkeypatch, d):
     certified = 0
-    for n in range(10, 18):
-        for seed in range(10):
-            dist = hi.full_distribution(hi.random_stochastic(d, seed), n)
-            for block in balanced_blocks(dist):
-                sketched, exact, fell_back = rank_both_ways(monkeypatch, block, max_states_cap(n))
-                assert_same_answer(sketched, exact)
-                certified += not fell_back
+    for n, seed in SWEEPS[d]:
+        exact = exact_reports(d, n, seed)
+        for block, report in zip(balanced_blocks(generator_distribution(d, n, seed)), exact):
+            sketched, fell_back = sketch_counted(monkeypatch, block, max_states_cap(n))
+            assert_same_answer(sketched, up_to_cap(report, max_states_cap(n)))
+            certified += not fell_back
     if d <= 6:   # rank d fits under every cap from n = 12 on
         assert certified > 0
 
 
 @pytest.mark.parametrize("n", [13, 15, 17])
 def test_same_answer_as_the_full_svd_on_uniform_tables(monkeypatch, n):
+    cap = max_states_cap(n)
     for seed in range(3):
-        for block in balanced_blocks(uniform_distribution(n, seed)):
-            sketched, exact, fell_back = rank_both_ways(monkeypatch, block, max_states_cap(n))
-            assert_same_answer(sketched, exact)
-            # full rank: the sketch cannot see the whole spectrum
-            assert fell_back and sketched.singular_values.size == min(block.shape)
+        exact = exact_reports(None, n, seed)
+        for block, report in zip(balanced_blocks(uniform_distribution(n, seed)), exact):
+            sketched, fell_back = sketch_counted(monkeypatch, block, cap)
+            assert_same_answer(sketched, up_to_cap(report, cap))
+            # far above the cap: the sketch proves it, no full SVD of the block
+            assert not fell_back and (sketched.rank, sketched.confident) == (cap + 1, True)
+            assert sketched.singular_values.size == cap + 2
+
+
+@pytest.mark.parametrize("d", [*range(1, 9), None])
+def test_reading_up_to_the_cap_moves_only_ranks_above_it(d):
+    for n, seed in SWEEPS[d]:
+        cap = max_states_cap(n)
+        for exact in exact_reports(d, n, seed):
+            capped = up_to_cap(exact, cap)
+            if exact.rank <= cap:
+                assert_same_answer(capped, exact)
+            else:
+                assert capped.rank == cap + 1
+            assert capped.confident or not exact.confident
 
 
 @pytest.mark.parametrize("gap", [1e-9, 5e-8, 1e-6])
@@ -78,12 +125,48 @@ def test_identify_takes_the_certified_path(monkeypatch):
     assert verdict.trace[0].rank_wide.confident and verdict.trace[0].rank_tall.confident
 
 
-def test_uniform_table_falls_back(monkeypatch):
+def test_uniform_table_is_certified_above_the_cap(monkeypatch):
     block = hi.hankel_block(uniform_distribution(13, 0), 6, 7)
     ranked = count_ranked_shapes(monkeypatch)
     report = sketched_rank(block, max_states_cap(13))
-    assert ranked == [(127, 255)]
-    assert (report.rank, report.confident) == (127, True)
+    assert ranked == []
+    assert (report.rank, report.confident) == (max_states_cap(13) + 1, True)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_uniform_table_at_n21_is_no_hmp(monkeypatch, seed):
+    # at seeds 0 and 2 the exact SVD of the 2047x4095 wide block has tail
+    # values in the band; only sigma_1..sigma_12 can move a verdict on at most
+    # 11 states, and the sketch proves them clear of it
+    dist = uniform_distribution(21, seed)
+    ranked = count_ranked_shapes(monkeypatch)
+    verdict = hi.identify(dist)
+    assert verdict.kind == hi.NO_HMP
+    assert ranked == []
+    assert (verdict.trace[0].rank_wide.rank, verdict.trace[0].rank_tall.rank) == (12, 12)
+
+
+def test_band_value_at_cap_plus_one_falls_back(monkeypatch):
+    # sigma_3 = 2e-9 sits in the band [1e-10, 1e-8] and decides between 2 and
+    # 3 states, so no certificate holds and the exact answer is not confident
+    sigma = np.full(800, 3e-11)
+    sigma[:3] = 1.0, 0.5, 2e-9
+    ranked = count_ranked_shapes(monkeypatch)
+    report = sketched_rank(np.diag(sigma), 2)
+    assert ranked == [(800, 800)]
+    assert (report.rank, report.confident) == (3, False)
+
+
+def test_band_value_past_cap_plus_one_is_ignored(monkeypatch):
+    # sigma_4 = 2e-9 makes the full spectrum borderline, but with cap 2 only
+    # sigma_1..sigma_3 count, and they clear the band: certified from the sketch
+    sigma = np.full(800, 3e-11)
+    sigma[:4] = 1.0, 0.5, 0.25, 2e-9
+    assert not hankel.numerical_rank(np.diag(sigma)).confident
+    ranked = count_ranked_shapes(monkeypatch)
+    report = sketched_rank(np.diag(sigma), 2)
+    assert ranked == []
+    assert (report.rank, report.confident) == (3, True)
 
 
 def test_borderline_block_falls_back(monkeypatch):
