@@ -18,9 +18,10 @@ also writes one JSON line per case there (index, n, kind, states, reason), so
   Here every block is its own hankel_block array, while `hmpident rank`
   reads the small blocks as corners of the wide block and ranks the one
   balanced block once at even n, so this digest cross-checks that reuse;
-- inference: select_basis of the P_(e-1,e-1) corner of P_(e,e-1) and every
-  infer_finitary_detailed field for each e up to the cap, or the exception
-  each one raises.
+- inference: for each e up to the cap, select_basis of the P_(e-1,e-1)
+  corner of P_(e,e-1) and every field of infer_finitary_detailed given that
+  same P_(e,e-1) block, or the exception each one raises.  identify passes
+  the larger tall balanced block, which holds P_(e,e-1) as its corner.
 
 The corpus is random_stochastic(d, s) for d = 1..5, n in {2d-1, 2d, 2d+1},
 s < 60; seeded uniform tables at n in {5, 9, 13, 17}, 10 each; and the test
@@ -105,9 +106,9 @@ def main():
         for m, k in shapes:
             feed(ranks, hi.numerical_rank(hi.hankel_block(dist, m, k)))
         for e in range(1, cap + 1):
-            small = corner(hi.hankel_block(dist, e, e - 1), e - 1, e - 1)
-            feed(inference, outcome(hi.select_basis, small, e))
-            feed(inference, outcome(hi.infer_finitary_detailed, dist, e))
+            block = hi.hankel_block(dist, e, e - 1)
+            feed(inference, outcome(hi.select_basis, corner(block, e - 1, e - 1), e))
+            feed(inference, outcome(hi.infer_finitary_detailed, block, e))
     if args.cases:
         with open(args.cases, "w") as fh:
             fh.writelines(rows)

@@ -31,7 +31,7 @@ class NonFiniteError(ValidationError):
 
 
 class InvalidParamsError(ValidationError):
-    """Transition/emission/initial data is not row-stochastic within tolerance."""
+    """Transition/emission/initial data is ragged, not real, or not row-stochastic."""
 
 
 class LengthError(ValueError):

@@ -1,17 +1,18 @@
 """Observable-operator parametrizations of a string distribution.
 
 A finitary parametrization of dimension e is a vector x and operators T0, T1
-with p(a_1 ... a_n) = x' T_{a_1} ... T_{a_n} 1.  Inference reads one Hankel
-block B = P_{e,e-1}.  Its leading corner H = [p(v w)], over strings v and w of
-length at most e-1, has the top-e singular triple H ~ U diag(sigma) R, and the
-child rows of B give H_a = [p(v a w)] (row r followed by a is row 2r+1+a).
-Then
+with p(a_1 ... a_n) = x' T_{a_1} ... T_{a_n} 1.  Inference takes a Hankel
+block, not the table: B = P_{e,e-1}, or any larger block that has it as its
+leading corner, so the caller passes a block it already holds.  The corner
+H = [p(v w)], over strings v and w of length at most e-1, has the top-e
+singular triple H ~ U diag(sigma) R, and the child rows of B give
+H_a = [p(v a w)] (row r followed by a is row 2r+1+a).  Then
 
     x'  = H[0] R'          y = R[:, 0]
     T_a = diag(sigma)^(-1) U' H_a R'
 
 reproduces the distribution as x' T_v y.  Projecting on the singular subspaces
-uses every entry of the block, and the only inversion is the division by
+uses every entry of P_{e,e-1}, and the only inversion is the division by
 sigma, so sigma witnesses how well conditioned the recipe is.  A final change
 of basis S with S 1 = y absorbs y into the operators so the standard
 unit-column-sum form x' T_v 1 holds; both the raw and the normalized
@@ -24,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import StringDistribution
-from .errors import DegenerateNormalizationError, check_order
-from .hankel import corner, hankel_block, select_basis
+from .errors import DegenerateNormalizationError, LengthError, check_order
+from .hankel import corner, select_basis
 from .strings import check_binary
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
@@ -52,12 +52,14 @@ class FinitaryInference:
     sigma: np.ndarray               # the singular values inference divides by
 
 
-def infer_finitary_detailed(dist: StringDistribution, e: int,
+def infer_finitary_detailed(block: np.ndarray, e: int,
                             tol: ToleranceConfig | None = None) -> FinitaryInference:
-    check_order("e", e, 1, (dist.n + 1) // 2)   # n >= 2e-1
+    check_order("e", e, 1)
+    shape = block.shape if isinstance(block, np.ndarray) else ()
+    if len(shape) != 2 or shape[0] < 2 ** (e + 1) - 1 or shape[1] < 2 ** e - 1:
+        raise LengthError(f"need a 2-D array holding P_(e,e-1) for e = {e}, got shape {shape}")
     tol = tol or DEFAULT_TOLERANCES
-    # P_{p,e,e-1}: row 0 is the empty string, row 2r+1+a is row r followed by a
-    block = hankel_block(dist, e, e - 1)
+    # row 0 is the empty string, row 2r+1+a is row r followed by a
     h = corner(block, e - 1, e - 1)
     u, sigma, r = select_basis(h, e, tol)
     raw_x = h[0] @ r.T
@@ -69,7 +71,7 @@ def infer_finitary_detailed(dist: StringDistribution, e: int,
     if abs(y[j]) < DEGENERATE_Y_FLOOR:
         raise DegenerateNormalizationError(f"fixed vector is numerically zero: {y}")
     rows = np.arange(h.shape[0])
-    raw_t0, raw_t1 = ((u.T @ block[2 * rows + 1 + a] @ r.T) / sigma[:, None]
+    raw_t0, raw_t1 = ((u.T @ block[2 * rows + 1 + a, :h.shape[1]] @ r.T) / sigma[:, None]
                       for a in (0, 1))
     s = np.eye(e)
     s[:, j] += y - 1.0
@@ -80,9 +82,9 @@ def infer_finitary_detailed(dist: StringDistribution, e: int,
     return FinitaryInference(params, raw_t0, raw_t1, raw_x, y, sigma)
 
 
-def infer_finitary(dist: StringDistribution, e: int,
+def infer_finitary(block: np.ndarray, e: int,
                    tol: ToleranceConfig | None = None) -> FinitaryParams:
-    return infer_finitary_detailed(dist, e, tol).params
+    return infer_finitary_detailed(block, e, tol).params
 
 
 def finitary_probability(params: FinitaryParams, v: str) -> float:

@@ -42,9 +42,8 @@ class HmpParams:
     def __post_init__(self):
         if isinstance(self.d, bool) or not isinstance(self.d, int) or self.d < 1:
             raise InvalidParamsError(f"state count must be a positive integer, got {self.d}")
-        m = np.array(self.transition, dtype=float)
-        e = np.array(self.emission, dtype=float)
-        pi = np.array(self.initial, dtype=float)
+        m, e, pi = (_real_array(name, getattr(self, name))
+                    for name in ("transition", "emission", "initial"))
         if m.shape != (self.d, self.d):
             raise InvalidParamsError(f"transition must be {self.d}x{self.d}, got {m.shape}")
         if e.shape != (self.d, 2):
@@ -56,6 +55,17 @@ class HmpParams:
         object.__setattr__(self, "transition", m)
         object.__setattr__(self, "emission", e)
         object.__setattr__(self, "initial", pi)
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """A float copy of value; a ragged nesting or a non-real entry is refused, not cast."""
+    try:
+        raw = np.array(value)
+    except ValueError:   # numpy refuses a ragged nesting
+        raise InvalidParamsError(f"{name} must be a rectangular array, not a ragged nesting") from None
+    if raw.dtype.kind not in "iuf":   # a cast would drop imaginary parts or parse text
+        raise InvalidParamsError(f"{name} entries must be real numbers, got dtype {raw.dtype}")
+    return raw.astype(float)
 
 
 def stochastic_violation(params: HmpParams) -> tuple[float, str | None]:
@@ -110,13 +120,12 @@ def string_probability(params: HmpParams, v: str) -> float:
     return finitary_probability(split(params), v)
 
 
-def full_distribution(params: HmpParams, n: int,
-                      cap: int = FULL_TABLE_CAP) -> StringDistribution:
+def full_distribution(params: HmpParams, n: int) -> StringDistribution:
     """Table of all 2^n string probabilities, by breadth-first forward vectors."""
     if n < 1:
         raise CapExceededError(f"table length must be >= 1, got {n}")
-    if n > cap:
-        raise CapExceededError(f"table length {n} exceeds cap {cap}")
+    if n > FULL_TABLE_CAP:
+        raise CapExceededError(f"table length {n} exceeds cap {FULL_TABLE_CAP}")
     ops = split(params)
     fwd = params.initial[None, :]
     for _ in range(n):
@@ -200,9 +209,7 @@ def params_from_jsonable(payload: dict) -> HmpParams:
     for key in ("d", "transition", "emission", "initial"):
         if key not in payload:
             raise InvalidParamsError(f"parameter JSON needs key {key!r}")
-    return HmpParams(payload["d"], np.array(payload["transition"], dtype=float),
-                     np.array(payload["emission"], dtype=float),
-                     np.array(payload["initial"], dtype=float))
+    return HmpParams(payload["d"], payload["transition"], payload["emission"], payload["initial"])
 
 
 def save_params(params: HmpParams, path):

@@ -4,16 +4,18 @@ The distribution is an HMP on e states exactly when three Hankel blocks all
 have rank e: the small block P_{p,e-1,e-1} and the two balanced blocks
 P_{p,floor(n/2),ceil(n/2)} and P_{p,ceil(n/2),floor(n/2)}.  The balanced ranks
 do not depend on e, so only e = rank of the wide block can match, and only its
-small block is ranked, as a corner of the wide block.  At even n the two
+small block is ranked, as a corner of the tall block, which inference reads
+too: it is the only balanced block that holds P_{p,e,e-1} at e = ceil(n/2), so
+at odd n the wide block is built, ranked and dropped first.  At even n the two
 balanced blocks are one block, built and ranked once.  The balanced ranks come
 from sketched_rank, which asks only what a decision on at most cap states
 needs: the rank up to cap + 1, with the confidence band tested on
 sigma_1..sigma_(cap+1).  It certifies that answer from a sketch of cap + 2
-columns, so a table of rank above the cap needs no full SVD, and falls back
-to the full SVD otherwise; a balanced rank above the cap is reported as
-cap + 1.  The small block is ranked by the full SVD.  When the pattern holds,
-inference plus recovery either produces a stochastic parametrization (verdict:
-HMP), shows the distribution is representable but not by any stochastic
+columns, so a table of rank above the cap needs no full SVD, and falls back to
+the full SVD otherwise; a balanced rank above the cap is reported as cap + 1.
+The small block is ranked by the full SVD.  When the pattern holds, inference
+plus recovery either produces a stochastic parametrization (verdict: HMP),
+shows the distribution is representable but not by any stochastic
 parametrization of this size (verdict: no HMP), or runs into a genericity
 failure, where the method is simply blind (verdict: cannot decide).
 Borderline numerical rank likewise yields cannot-decide rather than a guess.
@@ -75,11 +77,11 @@ def identify(dist: StringDistribution, max_states: int | None = None,
     max_states = cap if max_states is None else max_states
     check_order("max_states", max_states, 1, cap)
 
-    # at odd n the tall block goes first, so it is never alive with the wide one
-    tall = sketched_rank(hankel_block(dist, (n + 1) // 2, n // 2), cap, tol) if n % 2 else None
-    wide_data = hankel_block(dist, n // 2, (n + 1) // 2)
-    wide = sketched_rank(wide_data, cap, tol)
-    tall = tall or wide   # at even n the two balanced blocks are one
+    # at odd n the wide block goes first, so it is never alive with the tall one
+    wide = sketched_rank(hankel_block(dist, n // 2, (n + 1) // 2), cap, tol) if n % 2 else None
+    tall_data = hankel_block(dist, (n + 1) // 2, n // 2)
+    tall = sketched_rank(tall_data, cap, tol)
+    wide = wide or tall   # at even n the two balanced blocks are one
     e = wide.rank
     no_fit = f"no state count up to {max_states} fits"
 
@@ -92,14 +94,14 @@ def identify(dist: StringDistribution, max_states: int | None = None,
     if e != tall.rank or not 1 <= e <= max_states:
         note = f"rank pattern not met: ranks wide {e}, tall {tall.rank}; max_states {max_states}"
         return decided(NO_HMP, max_states, no_fit, note)
-    small = numerical_rank(corner(wide_data, e - 1, e - 1), tol)
+    small = numerical_rank(corner(tall_data, e - 1, e - 1), tol)
     if not small.confident:
         return decided(CANNOT_DECIDE, e, "borderline rank", small=small)
     if small.rank != e:
         return decided(NO_HMP, max_states, no_fit,
                        f"rank pattern not met: ({small.rank}, {wide.rank}, {tall.rank})", small)
     try:
-        fp = infer_finitary(dist, e, tol)
+        fp = infer_finitary(tall_data, e, tol)
     except (RankDeficientError, DegenerateNormalizationError) as exc:
         return decided(CANNOT_DECIDE, e, f"inference degenerate: {exc}", small=small)
     outcome = recover_hmm(fp, tol)
@@ -116,14 +118,13 @@ class CertifyReport:
     passed: bool
 
 
-def certify(dist: StringDistribution, verdict: Verdict,
-            threshold: float = CERTIFY_TOL) -> CertifyReport:
+def certify(dist: StringDistribution, verdict: Verdict) -> CertifyReport:
     """Independently re-simulate the recovered parameters and compare tables."""
     if verdict.kind != HMP:
         raise WrongVerdictError(f"certify needs an hmp verdict, got {verdict.kind!r}")
     resim = full_distribution(verdict.params, dist.n)
     residual = float(np.max(np.abs(resim.table - dist.table)))
-    return CertifyReport(residual, residual <= threshold)
+    return CertifyReport(residual, residual <= CERTIFY_TOL)
 
 
 def _rank_report_jsonable(report: RankReport) -> dict:

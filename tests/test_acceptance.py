@@ -158,7 +158,7 @@ def test_criterion_7_fiber_permutations():
             continue
         kept += 1
         dist = hi.full_distribution(params, 5)
-        fp = hi.infer_finitary(dist, 3)
+        fp = hi.infer_finitary(hi.hankel_block(dist, 3, 2), 3)
         canon = hi.recover_hmm(fp)
         assert canon.kind == hi.RECOVERED
         for perm in itertools.permutations(range(3)):
@@ -183,7 +183,7 @@ def test_criterion_8_process_invariants():
             left = hi.marginalize(dist, length)
             right = hi.marginalize(dist, length + 1).reshape(-1, 2).sum(axis=1)
             assert np.max(np.abs(left - right)) <= 1e-12
-        inf = hi.infer_finitary_detailed(dist, d)
+        inf = hi.infer_finitary_detailed(hi.hankel_block(dist, d, d - 1), d)
         assert hi.process_constraint_residual(inf.params) <= 1e-10
         fixed = (inf.raw_t0 + inf.raw_t1) @ inf.y - inf.y
         assert np.max(np.abs(fixed)) <= 1e-8

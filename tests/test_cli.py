@@ -287,6 +287,19 @@ def test_malformed_params_are_an_error(tmp_path, capsys, text):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("transition", ['[["1.0"]]', "[[true]]", "[[1.0], [1.0]]"])
+def test_params_with_non_real_or_ragged_entries_are_an_error(tmp_path, capsys, transition):
+    path = tmp_path / "params.json"
+    path.write_text(f'{{"d": 1, "transition": {transition}, '
+                    '"emission": [[0.5, 0.5]], "initial": [1.0]}')
+    out_path = tmp_path / "dist.json"
+    assert main(["simulate", "--params", str(path), "--length", "2",
+                 "--out", str(out_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "transition" in err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("argv", [
     [],
     ["identify"],

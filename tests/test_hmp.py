@@ -6,6 +6,7 @@ from hmpident.errors import (AlphabetError, CapExceededError,
                              DimensionMismatchError, DuplicateEigenvalueError,
                              InvalidParamsError, InvalidPermutationError,
                              StateCountTooLargeError)
+from hmpident.hmp import params_from_jsonable
 from conftest import fair_coin_params
 
 
@@ -264,3 +265,48 @@ def test_validate_params_rejects_non_finite():
     with pytest.raises(InvalidParamsError, match="inf"):
         hi.validate_params(hi.HmpParams(1, np.eye(1), np.array([[0.5, 0.5]]),
                                         np.array([np.inf])))
+
+
+HALF = np.full((2, 2), 0.5)
+
+
+def test_params_text_entries_are_refused():
+    payload = {"d": 2, "transition": [["0.5", "0.5"], ["0.5", "0.5"]],
+               "emission": HALF.tolist(), "initial": [0.5, 0.5]}
+    with pytest.raises(InvalidParamsError, match=r"^transition entries must be real numbers"):
+        params_from_jsonable(payload)
+
+
+def test_params_boolean_entries_are_refused():
+    payload = {"d": 2, "transition": [[True, False], [False, True]],
+               "emission": HALF.tolist(), "initial": [0.5, 0.5]}
+    with pytest.raises(InvalidParamsError, match=r"^transition entries must be real numbers"):
+        params_from_jsonable(payload)
+
+
+def test_params_ragged_transition_is_refused():
+    with pytest.raises(InvalidParamsError, match=r"^transition must be a rectangular array"):
+        hi.HmpParams(2, [[0.5, 0.5], [1.0]], HALF, [0.5, 0.5])
+
+
+def test_params_python_complex_entry_is_refused():
+    with pytest.raises(InvalidParamsError, match=r"^initial entries must be real numbers"):
+        hi.HmpParams(2, HALF, HALF, [0.5, 0.5 + 0j])
+
+
+def test_params_complex_array_is_refused_not_cast():
+    # a cast would keep the real part and only warn
+    with pytest.raises(InvalidParamsError, match=r"^emission entries must be real numbers"):
+        hi.HmpParams(2, HALF, HALF.astype(complex), [0.5, 0.5])
+
+
+def test_params_none_entry_is_refused_not_nan():
+    with pytest.raises(InvalidParamsError, match=r"^initial entries must be real numbers"):
+        hi.HmpParams(2, HALF, HALF, np.array([0.5, None], dtype=object))
+
+
+def test_params_integer_entries_stay_valid():
+    params = hi.HmpParams(2, [[1, 0], [0, 1]], [[1, 0], [0, 1]], [1, 0])
+    assert params.transition.dtype == float
+    assert np.array_equal(params.transition, np.eye(2))
+    hi.validate_params(params)

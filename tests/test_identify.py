@@ -172,16 +172,16 @@ def test_identify_builds_the_balanced_blocks_once_and_no_small_block(monkeypatch
     built = count_block_builds(monkeypatch)
     verdict = hi.identify(dist)
     assert verdict.kind == hi.NO_HMP and len(verdict.trace) == 1
-    # tall before wide: the wide block stays alive for the small-block corner
-    assert built == [(5, 4), (4, 5)]
+    # wide before tall: the tall block stays alive for the small block and inference
+    assert built == [(4, 5), (5, 4)]
 
 
-def test_identify_builds_one_block_each_for_basis_and_inference(monkeypatch):
+def test_identify_reads_basis_and_inference_from_the_tall_block(monkeypatch):
     dist = hi.full_distribution(hi.random_stochastic(3, 1), 7)
     built = count_block_builds(monkeypatch)
     verdict = hi.identify(dist)
     assert (verdict.kind, verdict.states) == (hi.HMP, 3)
-    assert built == [(4, 3), (3, 4), (3, 2)]
+    assert built == [(3, 4), (4, 3)]
 
 
 def test_even_n_builds_and_ranks_the_balanced_block_once(monkeypatch):
@@ -191,7 +191,7 @@ def test_even_n_builds_and_ranks_the_balanced_block_once(monkeypatch):
     ranked = count_ranked_shapes(monkeypatch)
     verdict = hi.identify(dist)
     assert (verdict.kind, verdict.states) == (hi.HMP, 3)
-    assert built == [(3, 3), (3, 2)]
+    assert built == [(3, 3)]
     assert ranked == [(15, 15), (7, 7)]
     assert verdict.trace[0].rank_tall is verdict.trace[0].rank_wide
 
@@ -203,7 +203,7 @@ def test_full_rank_table_ranks_only_the_balanced_blocks(monkeypatch):
     ranked = count_ranked_shapes(monkeypatch)
     verdict = hi.identify(dist)
     assert (verdict.kind, verdict.states) == (hi.NO_HMP, 5)
-    assert ranked == [(63, 31), (31, 63)]
+    assert ranked == [(31, 63), (63, 31)]
     assert verdict.trace[0].rank_small is None
     assert "max_states 5" in verdict.trace[0].note
 
@@ -213,7 +213,7 @@ def test_hmp_ranks_one_small_block(monkeypatch):
     ranked = count_ranked_shapes(monkeypatch)
     verdict = hi.identify(dist)
     assert (verdict.kind, verdict.states) == (hi.HMP, 3)
-    assert ranked == [(31, 15), (15, 31), (7, 7)]
+    assert ranked == [(15, 31), (31, 15), (7, 7)]
 
 
 def test_small_blocks_of_other_counts_cannot_stop_the_decision(monkeypatch):

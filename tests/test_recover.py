@@ -11,7 +11,7 @@ def recover_from(params, n=None, e=None):
     e = e or params.d
     n = n or 2 * e - 1
     dist = hi.full_distribution(params, n)
-    return hi.recover_hmm(hi.infer_finitary(dist, e))
+    return hi.recover_hmm(hi.infer_finitary(hi.hankel_block(dist, e, e - 1), e))
 
 
 def test_round_trip_two_state_mixture():
@@ -45,7 +45,7 @@ def test_recovered_states_in_canonical_order():
 def test_eigenvalue_reorder_is_state_permutation():
     params = hi.random_stochastic(3, 40)
     dist = hi.full_distribution(params, 5)
-    fp = hi.infer_finitary(dist, 3)
+    fp = hi.infer_finitary(hi.hankel_block(dist, 3, 2), 3)
     canon = hi.recover_hmm(fp)
     assert canon.kind == hi.RECOVERED
     for perm in itertools.permutations(range(3)):
