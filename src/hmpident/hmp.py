@@ -5,11 +5,14 @@ d x d row-stochastic matrix, E holds per-state probabilities of emitting 0 and
 1, and pi is the initial state distribution.  The string probability of
 v = a_1 ... a_n is
 
-    p(v) = pi' T_{a_1} ... T_{a_n} 1,      T_a = diag(E[:, a]) M,
+    p(v) = pi' T_{a_1} ... T_{a_n} 1,      T_a = diag(E[:, a]) M.
 
-computed by forward iteration on a row vector.  The two symbol operators T_0
-and T_1 carry all information about the process; splitting them off M and E is
-the first step of everything downstream.
+The whole table is computed through the middle: at h = n // 2 each string is
+v = u w with |u| = h, and p(uw) = alpha_u . beta_w with alpha_u = pi' T_u and
+beta_w = T_w 1.  This is the rank-d factorisation of the balanced Hankel block
+that the identification rank test rests on.  The two symbol operators T_0 and
+T_1 carry all information about the process; splitting them off M and E is the
+first step of everything downstream.
 """
 from __future__ import annotations
 
@@ -121,19 +124,29 @@ def string_probability(params: HmpParams, v: str) -> float:
 
 
 def full_distribution(params: HmpParams, n: int) -> StringDistribution:
-    """Table of all 2^n string probabilities, by breadth-first forward vectors."""
+    """Table of all 2^n string probabilities, as one product through the middle.
+
+    With h = n // 2, row u of the 2^h x d matrix F is alpha_u = pi' T_u and row
+    w of the 2^(n-h) x d matrix B is beta_w = T_w 1, so F B' is the balanced
+    Hankel block [p(uw)] and its rows, read in order, are the table.  Beside
+    the table, only the 2^h + 2^(n-h) rows of F and B are held.
+    """
+    check_order("n", n, 0)
     if n < 1:
         raise CapExceededError(f"table length must be >= 1, got {n}")
     if n > FULL_TABLE_CAP:
         raise CapExceededError(f"table length {n} exceeds cap {FULL_TABLE_CAP}")
     ops = split(params)
     fwd = params.initial[None, :]
-    for _ in range(n):
+    for _ in range(n // 2):
         nxt = np.empty((2 * fwd.shape[0], params.d))
         nxt[0::2] = fwd @ ops.t0   # child index of prefix i under symbol a is 2i + a
         nxt[1::2] = fwd @ ops.t1
         fwd = nxt
-    return StringDistribution(n, fwd.sum(axis=1))
+    bwd = np.ones((1, params.d))
+    for _ in range(n - n // 2):   # string a w of length L sits at a 2^(L-1) + index(w)
+        bwd = np.vstack([bwd @ ops.t0.T, bwd @ ops.t1.T])
+    return StringDistribution(n, (fwd @ bwd.T).reshape(-1))
 
 
 def vandermonde_example(d: int, lambdas) -> HmpParams:

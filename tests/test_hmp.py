@@ -80,11 +80,28 @@ def test_full_distribution_sums_to_one():
 
 
 def test_full_distribution_matches_single_string_eval():
-    params = hi.random_stochastic(3, 99)
-    dist = hi.full_distribution(params, 4)
-    for i in range(16):
-        v = format(i, "04b")
-        assert dist.prob(v) == pytest.approx(hi.string_probability(params, v), abs=1e-13)
+    """Every split of the table: n = 1 has an empty prefix half, odd and even n differ."""
+    for d in range(1, 7):
+        params = hi.random_stochastic(d, 99)
+        for n in range(1, 13):
+            table = hi.full_distribution(params, n).table
+            oracle = np.array([hi.string_probability(params, format(i, f"0{n}b"))
+                               for i in range(2 ** n)])
+            assert np.max(np.abs(table - oracle) / oracle) <= 1e-13, (d, n)
+
+
+def test_full_distribution_matches_breadth_first_forward_vectors_at_n21():
+    params = hi.random_stochastic(6, 21)
+    ops = hi.split(params)
+    fwd = params.initial[None, :]
+    for _ in range(21):
+        nxt = np.empty((2 * fwd.shape[0], 6))
+        nxt[0::2] = fwd @ ops.t0
+        nxt[1::2] = fwd @ ops.t1
+        fwd = nxt
+    oracle = fwd.sum(axis=1)
+    table = hi.full_distribution(params, 21).table
+    assert np.max(np.abs(table - oracle) / oracle) <= 1e-13
 
 
 def test_full_distribution_cap():

@@ -8,6 +8,7 @@ import pytest
 import hmpident as hi
 from hmpident import hankel
 from hmpident.errors import SumNotOneError, WrongVerdictError
+from hmpident.identify import CERTIFY_TOL
 from hmpident.jsonio import dumps
 from conftest import (control_distribution, fair_coin_distribution,
                       near_degenerate_params)
@@ -101,6 +102,18 @@ def test_certify_round_trip():
     verdict = hi.identify(dist)
     report = hi.certify(dist, verdict)
     assert report.passed and report.max_residual <= 1e-6
+
+
+def test_certify_fails_for_parameters_that_do_not_generate_the_table():
+    dist = hi.full_distribution(hi.random_stochastic(3, 1), 7)
+    verdict = hi.identify(dist)
+    assert verdict.kind == hi.HMP and hi.certify(dist, verdict).passed
+    moved = verdict.params.transition.copy()
+    moved[0, 0] += 0.05   # mass moved within row 0, which still sums to 1
+    moved[0, 1] -= 0.05
+    params = dataclasses.replace(verdict.params, transition=moved)
+    report = hi.certify(dist, dataclasses.replace(verdict, params=params))
+    assert report.max_residual > CERTIFY_TOL and not report.passed
 
 
 def test_certify_rejects_non_hmp_verdict():

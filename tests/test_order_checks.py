@@ -5,9 +5,10 @@ import pytest
 
 import hmpident as hi
 from hmpident.errors import LengthError
-from conftest import fair_coin_distribution
+from conftest import fair_coin_distribution, fair_coin_params
 
 DIST = fair_coin_distribution(3)
+PARAMS = fair_coin_params()
 
 
 @pytest.mark.parametrize("fn, args, name, value", [
@@ -22,6 +23,10 @@ DIST = fair_coin_distribution(3)
     (hi.select_basis, (np.eye(3), 0), "e", 0),
     (hi.random_stochastic, (-2, 0), "d", -2),
     (hi.random_stochastic, (2.5, 0), "d", 2.5),
+    (hi.full_distribution, (PARAMS, 2.5), "n", 2.5),
+    (hi.full_distribution, (PARAMS, "3"), "n", "3"),
+    (hi.full_distribution, (PARAMS, True), "n", True),
+    (hi.full_distribution, (PARAMS, np.int64(3)), "n", np.int64(3)),
 ])
 def test_orders_and_counts_must_be_integers_in_range(fn, args, name, value):
     with pytest.raises(LengthError, match=rf"^{name} must be an integer .*, got {re.escape(repr(value))}$"):
