@@ -23,6 +23,10 @@ also writes one JSON line per case there (index, n, kind, states, reason), so
   same P_(e,e-1) block, or the exception each one raises.  identify passes
   the larger tall balanced block, which holds P_(e,e-1) as its corner.
 
+Each case's table is also saved with save_distribution and read back with
+load_distribution; the script stops with an error unless the two tables are
+bit-identical.
+
 The corpus is random_stochastic(d, s) for d = 1..5, n in {2d-1, 2d, 2d+1},
 s < 60; seeded uniform tables at n in {5, 9, 13, 17}, 10 each; and the test
 fixtures' control, fair-coin and near-degenerate (gap 1e-9, 5e-8, 1e-6) cases.
@@ -32,6 +36,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +82,15 @@ def feed(digest, value):
         digest.update(repr(value).encode())
 
 
+def check_reload(dist, index):
+    """Save the table, read it back, and stop unless the bits are the same."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dist.json"
+        hi.save_distribution(dist, path)
+        if hi.load_distribution(path).table.tobytes() != dist.table.tobytes():
+            sys.exit(f"case {index}: the reloaded table differs from the saved one")
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -95,6 +109,7 @@ def main():
     cases = 0
     for dist in corpus():
         cases += 1
+        check_reload(dist, cases - 1)
         n, cap = dist.n, max_states_cap(dist.n)
         verdict = hi.identify(dist)
         verdicts.update(dumps(verdict_to_jsonable(dist, verdict)).encode())

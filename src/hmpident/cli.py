@@ -7,6 +7,10 @@ Subcommands:
   minors     determinantal membership scan at a given state count
   roundtrip  seeded generate/identify/compare experiment
 
+A distribution file is {"n": n, "table": [p_0, ..., p_(2^n-1)]}, entry i
+being the probability of i written as n binary digits; files in the older
+{"n": n, "probabilities": {"0...0": p, ...}} form are still read.
+
 Exit codes: 0 = HMP (or success), 2 = no HMP (or mismatches), 3 = cannot
 decide, 1 = usage or data error.  Identification is deterministic given the
 input file and flags; roundtrip additionally depends only on the seed.

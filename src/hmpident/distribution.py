@@ -77,7 +77,10 @@ class StringDistribution:
                 raise MissingKeyError(f"unexpected key {key!r} for length {n}")
             if isinstance(p, bool) or not isinstance(p, (int, float, np.integer, np.floating)):
                 raise NonFiniteError(f"p({key}) = {p!r} is not a number")
-            table[int(key, 2)] = p
+            try:
+                table[int(key, 2)] = p
+            except OverflowError:   # an integer literal beyond the largest double
+                raise NonFiniteError(f"p({key}) is an integer too large for a double") from None
         return cls(n, table, tol)
 
 
@@ -138,12 +141,34 @@ def is_stationary(dist: StringDistribution, tol: ToleranceConfig | None = None) 
 
 
 def save_distribution(dist: StringDistribution, path):
-    write_json({"n": dist.n, "probabilities": dist.to_dict()}, path)
+    """Write {"n": n, "table": [p_0, ..., p_(2^n-1)]}, entries in index order."""
+    write_json({"n": dist.n, "table": dist.table}, path)
 
 
 def load_distribution(path, tol: ToleranceConfig | None = None) -> StringDistribution:
+    """Read what save_distribution writes, or the older {"n", "probabilities"}
+    file that maps each string to its probability."""
     with open(path) as fh:
         payload = json.load(fh)
-    if not isinstance(payload, dict) or "n" not in payload or "probabilities" not in payload:
-        raise MissingKeyError("distribution JSON needs 'n' and 'probabilities'")
-    return StringDistribution.from_dict(payload["n"], payload["probabilities"], tol)
+    if not isinstance(payload, dict) or "n" not in payload \
+            or ("table" not in payload and "probabilities" not in payload):
+        raise MissingKeyError("distribution JSON needs 'n' and 'table' "
+                              "(or the older 'probabilities')")
+    n = payload["n"]
+    if "table" not in payload:
+        return StringDistribution.from_dict(n, payload["probabilities"], tol)
+    entries = payload["table"]
+    check_order("n", n, 1)
+    if not isinstance(entries, list):
+        raise MissingKeyError(f"table is a {type(entries).__name__}, not a list")
+    count = len(entries)
+    if count.bit_length() != n + 1 or count != 2 ** n:   # a huge n allocates nothing
+        raise MissingKeyError(f"expected 2^{n} entries, got {count}")
+    if not set(map(type, entries)) <= {float, int}:   # exact types: a bool is an int
+        i = next(i for i, p in enumerate(entries) if type(p) not in (float, int))
+        raise NonFiniteError(f"p({string_name(i, n)}) = {entries[i]!r} is not a number")
+    try:
+        table = np.array(entries, dtype=float)
+    except OverflowError:   # an integer literal beyond the largest double
+        raise NonFiniteError("table has an integer entry too large for a double") from None
+    return StringDistribution(n, table, tol)

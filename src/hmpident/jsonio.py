@@ -1,7 +1,8 @@
 """JSON writing with fixed float formatting.
 
 Floats are rendered with 17 significant digits so every IEEE double round
-trips exactly through the files the tools exchange.  Reading uses the stdlib
+trips exactly through the files the tools exchange; a flat float ndarray is
+written as a JSON list in one formatting call.  Reading uses the stdlib
 parser unchanged.
 """
 from __future__ import annotations
@@ -35,6 +36,12 @@ def _render(obj, pieces: list, indent: int):
             if i < len(obj) - 1:
                 pieces.append(", ")
         pieces.append("]")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
+        # a whole table in one finiteness check and one format call
+        finite = np.isfinite(obj)
+        if not finite.all():
+            raise NonFiniteError(f"cannot write {obj[np.argmin(finite)]} as a JSON number")
+        pieces.append("[" + ", ".join(["%.17g"] * obj.size) % tuple(obj.tolist()) + "]")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
         pieces.append("true" if obj else "false")
     elif obj is None:

@@ -272,6 +272,30 @@ def test_identify_path_builds_no_string_table(tmp_path, monkeypatch):
     assert main(["identify", "--dist", dist_path, "--out", str(tmp_path / "verdict.json")]) == 0
 
 
+def test_simulate_builds_no_string_table(tmp_path, monkeypatch):
+    # the file holds the table in index order, so writing it names no string
+    params_path = tmp_path / "params.json"
+    hi.save_params(hi.random_stochastic(2, 5), params_path)
+
+    def refuse(length):
+        raise AssertionError(f"strings_of_length({length}) called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hmpident" and hasattr(module, "strings_of_length"):
+            monkeypatch.setattr(module, "strings_of_length", refuse)
+    dist_path = tmp_path / "dist.json"
+    assert main(["simulate", "--params", str(params_path), "--length", "4",
+                 "--out", str(dist_path)]) == 0
+    assert len(json.loads(dist_path.read_text())["table"]) == 16
+
+
+def test_non_finite_table_entry_is_an_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 1, "table": [NaN, 1.0]}')
+    assert main(["identify", "--dist", str(path)]) == 1
+    assert "error: p(0) = nan is not finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", [
     "7",
     '{"d": 1.9, "transition": [[1.0]], "emission": [[0.5, 0.5]], "initial": [1.0]}',

@@ -185,9 +185,49 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "dist.json"
     hi.save_distribution(dist, path)
     payload = json.loads(path.read_text())
-    assert payload["n"] == 3 and len(payload["probabilities"]) == 8
+    # the table itself, entries in base-2 index order
+    assert set(payload) == {"n", "table"} and payload["n"] == 3
+    assert payload["table"] == dist.table.tolist()
     back = hi.load_distribution(path)
-    assert np.array_equal(back.table, dist.table)
+    assert back.table.tobytes() == dist.table.tobytes()
+
+
+def test_load_reads_the_older_dict_form(tmp_path):
+    path = tmp_path / "old.json"
+    path.write_text('{"n": 2, "probabilities": '
+                    '{"11": 0.4, "01": 0.20000000000000001, "00": 0.1, "10": 0.3}}')
+    assert hi.load_distribution(path).table.tobytes() == np.array([0.1, 0.2, 0.3, 0.4]).tobytes()
+
+
+def test_load_accepts_integer_entries(tmp_path):
+    path = tmp_path / "dist.json"
+    path.write_text('{"n": 1, "table": [0, 1]}')
+    assert np.array_equal(hi.load_distribution(path).table, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("text, error", [
+    pytest.param('{"n": 2, "table": [0.5, 0.5]}', MissingKeyError, id="short"),
+    pytest.param('{"n": 2, "table": [0.25, 0.25, 0.25, 0.25, 0.0]}', MissingKeyError, id="long"),
+    # a declared length far beyond the entry count fails before any allocation
+    pytest.param('{"n": 1000000000000, "table": [0.25, 0.25, 0.25, 0.25]}', MissingKeyError,
+                 id="huge-n"),
+    pytest.param('{"n": true, "table": [0.5, 0.5]}', LengthError, id="bool-n"),
+    pytest.param('{"n": 2.0, "table": [0.25, 0.25, 0.25, 0.25]}', LengthError, id="float-n"),
+    pytest.param('{"n": 1, "table": {"0": 0.5, "1": 0.5}}', MissingKeyError, id="dict-table"),
+    pytest.param('{"n": 1, "table": "0.5 0.5"}', MissingKeyError, id="text-table"),
+    pytest.param('{"n": 1, "table": [true, 0.5]}', NonFiniteError, id="bool-entry"),
+    pytest.param('{"n": 1, "table": [0.5, "0.5"]}', NonFiniteError, id="text-entry"),
+    pytest.param('{"n": 1, "table": [0.5, null]}', NonFiniteError, id="null-entry"),
+    pytest.param('{"n": 1, "table": [[0.5], 0.5]}', NonFiniteError, id="list-entry"),
+    pytest.param('{"n": 1, "table": [0.5, 1' + "0" * 400 + ']}', NonFiniteError,
+                 id="integer-beyond-a-double"),
+    pytest.param('{"table": [0.5, 0.5]}', MissingKeyError, id="no-n"),
+])
+def test_load_rejects_malformed_tables(tmp_path, text, error):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(error):
+        hi.load_distribution(path)
 
 
 def test_load_rejects_malformed(tmp_path):
@@ -230,6 +270,11 @@ def test_from_dict_rejects_malformed_payloads():
     for value in (None, "0.25", True, [0.25]):
         with pytest.raises(NonFiniteError):
             hi.StringDistribution.from_dict(2, dict(good, **{"11": value}))
+
+
+def test_from_dict_refuses_an_integer_beyond_a_double():
+    with pytest.raises(NonFiniteError):
+        hi.StringDistribution.from_dict(1, {"0": 0.5, "1": 10 ** 400})
 
 
 def test_from_dict_accepts_any_key_order_and_numeric_type():

@@ -49,3 +49,29 @@ def test_rejects_non_finite_floats():
     for value in (float("nan"), float("inf"), -float("inf"), np.float64("nan")):
         with pytest.raises(NonFiniteError):
             dumps({"x": [value]})
+
+
+def test_float_array_is_one_seventeen_digit_list():
+    assert dumps(np.array([0.1, 1.0 / 3.0])) == "[0.10000000000000001, 0.33333333333333331]"
+    assert dumps({"t": np.array([0.5, 0.25])}) == dumps({"t": [0.5, 0.25]})
+    assert dumps(np.array([], dtype=float)) == "[]"
+
+
+def test_float_array_round_trips_exactly():
+    rng = np.random.default_rng(0)
+    values = np.concatenate([rng.uniform(-1, 1, 50), [1e-300, 1e300, 5e-324]])
+    back = np.array(json.loads(dumps(values)))
+    assert back.tobytes() == values.tobytes()
+
+
+def test_float_array_rejects_non_finite_entries():
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteError):
+            dumps({"x": np.array([0.5, value])})
+
+
+def test_arrays_other_than_flat_float_are_refused():
+    # only the table form is written from an array; other arrays go through lists
+    for array in (np.array([1, 2]), np.array([True]), np.zeros((2, 2))):
+        with pytest.raises(TypeError):
+            dumps(array)

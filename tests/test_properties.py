@@ -1,4 +1,8 @@
 """Cross-module invariants checked over seeded random draws."""
+import json
+import os
+import tempfile
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -114,6 +118,32 @@ def test_from_dict_raises_only_package_errors(payload):
         hi.StringDistribution.from_dict(*payload)
     except Exception as exc:  # the property is about which types escape
         assert type(exc).__module__ == "hmpident.errors", repr(exc)
+
+
+@st.composite
+def near_table_payloads(draw):
+    """A complete small table in array form with a few entries, its length or n spoiled."""
+    n = draw(st.integers(1, 3))
+    table = [draw(st.floats(0, 1) | JSON_SCALARS) for _ in range(2 ** n)]
+    if draw(st.booleans()):
+        del table[draw(st.integers(0, 2 ** n - 1))]
+    table += draw(st.lists(JSON_SCALARS, max_size=2))
+    return {"n": draw(st.sampled_from([n, n, float(n), str(n), True])),
+            "table": draw(st.just(table) | JSON_VALUES)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(payload=near_table_payloads()
+       | st.dictionaries(st.sampled_from(["n", "table", "probabilities"]), JSON_VALUES))
+def test_load_distribution_raises_only_package_errors(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "dist.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        try:
+            hi.load_distribution(path)
+        except Exception as exc:  # the property is about which types escape
+            assert type(exc).__module__ == "hmpident.errors", repr(exc)
 
 
 def _kind_and_states(table, n):
