@@ -6,18 +6,23 @@ Strings are ordered shortest first, lexicographically within a length, empty
 string first: the rows are labelled by strings_up_to(m) and the columns by
 strings_up_to(k).  So P_{p,m,k} is the leading (2^(m+1)-1) x (2^(k+1)-1)
 corner of any larger block, and row r followed by symbol a is row 2r+1+a.
-A block reads the table once: it takes the length-(m+k) marginal and halves
-it down to length 0, summing out the last symbol at each step exactly as
-marginalize defines it, so entries of one length are the same bits in every
-block.  The rank of these blocks is what separates processes generated by a
-small hidden state space from everything else, so rank estimation carries a
-confidence flag: a singular value sitting close to the cut means the decision
-should not be trusted either way.  numerical_rank takes the full spectrum.
-sketched_rank answers the question a decision about at most cap states asks:
-the rank up to cap + 1, with the band tested on sigma_1..sigma_(cap+1) only.
-It proves that answer from a seeded sketch when it can (a residual bound at
-rank at most cap + 1, the Frobenius norm above the cap), and otherwise reads
-numerical_rank's spectrum the same way.
+Each (lv, lw) sub-block is the length-(lv+lw) marginal reshaped to
+2^lv x 2^lw, since the concatenation index is iv * 2^lw + iw; one iterator
+yields these pieces, and a dense block is filled from it.  A block reads the
+table once: it takes the length-(m+k) marginal and halves it down to length
+0, summing out the last symbol at each step exactly as marginalize defines
+it, so entries of one length are the same bits in every block.  The rank of
+these blocks is what separates processes generated by a small hidden state
+space from everything else, so rank estimation carries a confidence flag: a
+singular value sitting close to the cut means the decision should not be
+trusted either way.  numerical_rank takes the full spectrum.  sketched_rank
+answers the question a decision about at most cap states asks: the rank up
+to cap + 1, with the band tested on sigma_1..sigma_(cap+1) only.  It proves
+that answer from a seeded sketch when it can (a residual bound at rank at
+most cap + 1, the Frobenius norm above the cap), and otherwise reads
+numerical_rank's spectrum the same way.  The sketch reads a matrix piece by
+piece, so sketched_block_rank takes a block's sub-blocks straight from the
+marginals, and only its exact fallback materialises the block.
 """
 from __future__ import annotations
 
@@ -52,17 +57,33 @@ def hankel_block(dist: StringDistribution, m: int, k: int) -> np.ndarray:
     check_order("k", k, 0)
     if m + k > dist.n:
         raise LengthError(f"need m + k <= n: ({m}, {k}) vs n = {dist.n}")
+    return _block(_marginals(dist, m + k), m, k)
+
+
+def _marginals(dist: StringDistribution, length: int) -> list:
+    """The prefix marginals of lengths 0..length, indexed by length: the
+    longest is marginalize(dist, length) and each shorter one halves the next."""
+    margs = [marginalize(dist, length)]
+    for _ in range(length):
+        margs.append(_drop_last(margs[-1]))
+    return margs[::-1]
+
+
+def _sub_blocks(margs: list, m: int, k: int):
+    """(rows, columns, piece) for each (lv, lw) sub-block of P_{p,m,k}, given
+    the marginals of lengths 0..m+k; each piece is a view of one marginal."""
+    for lv in range(m + 1):
+        rows = slice(2 ** lv - 1, 2 ** (lv + 1) - 1)
+        for lw in range(k + 1):
+            yield (rows, slice(2 ** lw - 1, 2 ** (lw + 1) - 1),
+                   margs[lv + lw].reshape(2 ** lv, 2 ** lw))
+
+
+def _block(margs: list, m: int, k: int) -> np.ndarray:
+    """P_{p,m,k} filled from the marginals of lengths 0..m+k."""
     data = np.empty((2 ** (m + 1) - 1, 2 ** (k + 1) - 1))
-    marg = marginalize(dist, m + k)
-    for length in range(m + k, -1, -1):
-        # the (lv, lw) sub-block is exactly the length-(lv+lw) marginal reshaped:
-        # concatenation index is iv * 2^lw + iw
-        for lv in range(max(0, length - k), min(m, length) + 1):
-            lw = length - lv
-            data[2 ** lv - 1: 2 ** (lv + 1) - 1,
-                 2 ** lw - 1: 2 ** (lw + 1) - 1] = marg.reshape(2 ** lv, 2 ** lw)
-        if length:
-            marg = _drop_last(marg)
+    for rows, cols, piece in _sub_blocks(margs, m, k):
+        data[rows, cols] = piece
     data.setflags(write=False)
     return data
 
@@ -123,38 +144,60 @@ def sketched_rank(matrix, cap: int, tol: ToleranceConfig | None = None) -> RankR
 
     Both carry a fixed rounding allowance, far below the band, so the rounding
     of the exact SVD cannot move its answer either.  A certified report's
-    singular_values are the l lower brackets s, not the whole spectrum.  Every
-    other block (short side at most EXACT_MAX_SIDE or l, a failed certificate)
-    gets numerical_rank, read up to cap + 1 the same way.
+    singular_values are the l lower brackets s, not the whole spectrum.  The
+    sketch needs only sums over sub-blocks: A Omega, Q^T A, ||A||_F and
+    ||A - Q B||_F; a dense matrix is the one-piece case.  Every other block
+    (short side at most EXACT_MAX_SIDE or l, a failed certificate) is
+    materialised and gets numerical_rank, read up to cap + 1 the same way.
     """
+    a = np.asarray(matrix, dtype=float)
+    return _sketched(a.shape, [(slice(None), slice(None), a)], lambda: a, cap, tol)
+
+
+def sketched_block_rank(margs: list, m: int, k: int, cap: int,
+                        tol: ToleranceConfig | None = None) -> RankReport:
+    """sketched_rank of P_{p,m,k}, read one sub-block at a time from the
+    marginals of lengths 0..m+k; only the exact fallback builds the block."""
+    return _sketched((2 ** (m + 1) - 1, 2 ** (k + 1) - 1), list(_sub_blocks(margs, m, k)),
+                     lambda: _block(margs, m, k), cap, tol)
+
+
+def _sketched(shape: tuple, pieces: list, dense, cap: int, tol: ToleranceConfig | None) -> RankReport:
+    """sketched_rank of the matrix made of pieces (rows, columns, sub-block):
+    A Omega, Q^T A, ||A||_F and ||A - Q B||_F are sums over the pieces, and
+    dense() builds the whole matrix for the exact fallback."""
     check_order("cap", cap, 1)
     tol = tol or DEFAULT_TOLERANCES
-    a = np.asarray(matrix, dtype=float)
     sketch = cap + 2
-    if min(a.shape) > max(EXACT_MAX_SIDE, sketch):
-        omega = np.random.default_rng(0).standard_normal((a.shape[1], sketch))
-        q = np.linalg.qr(a @ omega)[0]
-        b = q.T @ a
+    if min(shape) > max(EXACT_MAX_SIDE, sketch):
+        omega = np.random.default_rng(0).standard_normal((shape[1], sketch))
+        y = np.zeros((shape[0], sketch))
+        norm2 = 0.0
+        for rows, cols, piece in pieces:
+            y[rows] += piece @ omega[cols]
+            norm2 += float(np.vdot(piece, piece))
+        q = np.linalg.qr(y)[0]
+        b = np.zeros((sketch, shape[1]))
+        for rows, cols, piece in pieces:
+            b[:, cols] += q[rows].T @ piece
         s = np.linalg.svd(b, compute_uv=False)
         top = float(s[0])
         hi, lo = tol.gap_ratio * tol.rel_rank_tol, tol.rel_rank_tol / tol.gap_ratio
         rank = int(np.count_nonzero(s > hi * top))
-        allowance = _ROUNDING * math.sqrt(a.shape[1]) * top
-        if rank > cap and s[cap] - allowance > hi * float(np.linalg.norm(a)):
+        allowance = _ROUNDING * math.sqrt(shape[1]) * top
+        if rank > cap and s[cap] - allowance > hi * math.sqrt(norm2):
             return RankReport(cap + 1, s, True)
         if rank < sketch:   # a full-rank sketch brackets nothing below it
-            rho = _residual_norm(a, q, b) + allowance
+            residual2 = 0.0
+            for rows, cols, piece in pieces:   # ||A - Q B||_F^2, one piece-sized temporary
+                residual = q[rows] @ b[:, cols]
+                residual -= piece
+                residual2 += float(np.vdot(residual, residual))
+            rho = math.sqrt(residual2) + allowance
             # r = 0 only when s = 0, and then s[r - 1] = s[-1] = 0 fails the first test
             if s[rank - 1] - rho > hi * (top + rho) and s[rank] + rho < lo * top:
                 return RankReport(rank, s, True)
-    return _rank_at_cut(numerical_rank(a, tol).singular_values, tol, cap)
-
-
-def _residual_norm(a: np.ndarray, q: np.ndarray, b: np.ndarray) -> float:
-    """||a - q b||_F with one block-sized temporary."""
-    residual = q @ b
-    residual -= a
-    return float(np.linalg.norm(residual))
+    return _rank_at_cut(numerical_rank(dense(), tol).singular_values, tol, cap)
 
 
 def select_basis(data, e: int, tol: ToleranceConfig | None = None):

@@ -1,9 +1,9 @@
 """JSON writing with fixed float formatting.
 
 Floats are rendered with 17 significant digits so every IEEE double round
-trips exactly through the files the tools exchange; a flat float ndarray is
-written as a JSON list in one formatting call.  Reading uses the stdlib
-parser unchanged.
+trips exactly through the files the tools exchange, and -0.0 is written as
+"-0.0" so it reads back as a float; a flat float ndarray is written as a JSON
+list in one formatting call.  Reading uses the stdlib parser unchanged.
 """
 from __future__ import annotations
 
@@ -12,6 +12,9 @@ import math
 import numpy as np
 
 from .errors import NonFiniteError
+
+# "%.17g" writes -0.0 as "-0", which a JSON reader takes for the integer 0
+_NEGATIVE_ZERO = "%.1f"
 
 
 def _render(obj, pieces: list, indent: int):
@@ -41,7 +44,10 @@ def _render(obj, pieces: list, indent: int):
         finite = np.isfinite(obj)
         if not finite.all():
             raise NonFiniteError(f"cannot write {obj[np.argmin(finite)]} as a JSON number")
-        pieces.append("[" + ", ".join(["%.17g"] * obj.size) % tuple(obj.tolist()) + "]")
+        formats = ["%.17g"] * obj.size
+        for i in np.flatnonzero((obj == 0.0) & np.signbit(obj)):
+            formats[i] = _NEGATIVE_ZERO
+        pieces.append("[" + ", ".join(formats) % tuple(obj.tolist()) + "]")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
         pieces.append("true" if obj else "false")
     elif obj is None:
@@ -51,7 +57,8 @@ def _render(obj, pieces: list, indent: int):
     elif isinstance(obj, (float, np.floating)):
         if not math.isfinite(obj):
             raise NonFiniteError(f"cannot write {obj} as a JSON number")
-        pieces.append(format(float(obj), ".17g"))
+        pieces.append(_NEGATIVE_ZERO % obj if obj == 0.0 and math.copysign(1.0, obj) < 0
+                      else format(float(obj), ".17g"))
     elif isinstance(obj, str):
         import json
         pieces.append(json.dumps(obj))

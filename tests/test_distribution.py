@@ -192,6 +192,16 @@ def test_json_round_trip(tmp_path):
     assert back.table.tobytes() == dist.table.tobytes()
 
 
+def test_negative_zero_survives_a_file(tmp_path):
+    dist = hi.StringDistribution(2, np.array([-0.0, 0.5, 0.0, 0.5]))
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    hi.save_distribution(dist, first)
+    back = hi.load_distribution(first)
+    assert np.signbit(back.table).tolist() == [True, False, False, False]
+    hi.save_distribution(back, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_load_reads_the_older_dict_form(tmp_path):
     path = tmp_path / "old.json"
     path.write_text('{"n": 2, "probabilities": '

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,15 @@ def test_certify_fails_for_parameters_that_do_not_generate_the_table():
     assert report.max_residual > CERTIFY_TOL and not report.passed
 
 
+def test_certify_fails_on_a_nan_residual():
+    dist = hi.full_distribution(hi.random_stochastic(3, 1), 7)
+    verdict = hi.identify(dist)
+    table = dist.table.copy()
+    table[5] = np.nan
+    report = hi.certify(hi.StringDistribution(7, table), verdict)
+    assert np.isnan(report.max_residual) and not report.passed
+
+
 def test_certify_rejects_non_hmp_verdict():
     verdict = hi.identify(control_distribution())
     with pytest.raises(WrongVerdictError):
@@ -154,13 +164,15 @@ def wrap_in_package(monkeypatch, original, wrapper):
 
 
 def count_block_builds(monkeypatch):
-    """Wrap hankel_block wherever the package holds it; returns the list of (m, k) built."""
+    """Wrap hankel._block, which fills every dense block, wherever the package
+    holds it; returns the list of (m, k) built, by hankel_block or from a
+    verdict's marginals."""
     built = []
-    original = hankel.hankel_block
+    original = hankel._block
 
-    def counted(dist, m, k):
+    def counted(margs, m, k):
         built.append((m, k))
-        return original(dist, m, k)
+        return original(margs, m, k)
 
     wrap_in_package(monkeypatch, original, counted)
     return built
@@ -180,21 +192,33 @@ def count_ranked_shapes(monkeypatch):
 
 
 def test_identify_builds_the_balanced_blocks_once_and_no_small_block(monkeypatch):
+    # short side 31: the exact fallback builds each balanced block once
     table = np.random.default_rng(9).uniform(0.1, 1.0, 2 ** 9)
     dist = hi.StringDistribution(9, table / table.sum())
     built = count_block_builds(monkeypatch)
     verdict = hi.identify(dist)
     assert verdict.kind == hi.NO_HMP and len(verdict.trace) == 1
-    # wide before tall: the tall block stays alive for the small block and inference
     assert built == [(4, 5), (5, 4)]
 
 
-def test_identify_reads_basis_and_inference_from_the_tall_block(monkeypatch):
+def test_identify_reads_basis_and_inference_from_p_e_e_minus_1(monkeypatch):
+    # exact path: the balanced blocks for their ranks, then P_(3,2) for the
+    # small rank and inference
     dist = hi.full_distribution(hi.random_stochastic(3, 1), 7)
     built = count_block_builds(monkeypatch)
     verdict = hi.identify(dist)
     assert (verdict.kind, verdict.states) == (hi.HMP, 3)
-    assert built == [(3, 4), (4, 3)]
+    assert built == [(3, 4), (4, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_certified_path_builds_only_p_e_e_minus_1(monkeypatch, n):
+    # short side above 31: the balanced blocks are sketched from the marginals
+    dist = hi.full_distribution(hi.random_stochastic(6, 1), n)
+    built = count_block_builds(monkeypatch)
+    verdict = hi.identify(dist)
+    assert (verdict.kind, verdict.states) == (hi.HMP, 6)
+    assert built == [(6, 5)]
 
 
 def test_even_n_builds_and_ranks_the_balanced_block_once(monkeypatch):
@@ -204,9 +228,24 @@ def test_even_n_builds_and_ranks_the_balanced_block_once(monkeypatch):
     ranked = count_ranked_shapes(monkeypatch)
     verdict = hi.identify(dist)
     assert (verdict.kind, verdict.states) == (hi.HMP, 3)
-    assert built == [(3, 3)]
+    assert built == [(3, 3), (3, 2)]
     assert ranked == [(15, 15), (7, 7)]
     assert verdict.trace[0].rank_tall is verdict.trace[0].rank_wide
+
+
+@pytest.mark.parametrize("n", [17, 18])
+def test_identify_holds_less_than_one_balanced_block(n):
+    # the balanced blocks are sketched from the marginals, never built
+    dist = hi.full_distribution(hi.random_stochastic(6, 1), n)
+    block_bytes = hi.hankel_block(dist, n // 2, (n + 1) // 2).nbytes
+    tracemalloc.start()
+    try:
+        verdict = hi.identify(dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (verdict.kind, verdict.states) == (hi.HMP, 6)
+    assert peak < block_bytes
 
 
 def test_full_rank_table_ranks_only_the_balanced_blocks(monkeypatch):

@@ -75,3 +75,11 @@ def test_arrays_other_than_flat_float_are_refused():
     for array in (np.array([1, 2]), np.array([True]), np.zeros((2, 2))):
         with pytest.raises(TypeError):
             dumps(array)
+
+
+def test_negative_zero_reads_back_as_a_float():
+    # "-0" would read back as the integer 0 and lose the sign
+    assert dumps(-0.0) == dumps(np.float64(-0.0)) == "-0.0" and dumps(0.0) == "0"
+    assert dumps(np.array([-0.0, 0.0, -0.5])) == "[-0.0, 0, -0.5]"
+    back = json.loads(dumps({"x": -0.0, "t": np.array([-0.0, 0.0])}))
+    assert np.signbit(back["x"]) and np.signbit(back["t"]).tolist() == [True, False]

@@ -7,7 +7,7 @@ import pytest
 import hmpident as hi
 from hmpident import hankel
 from hmpident.errors import LengthError
-from hmpident.hankel import sketched_rank
+from hmpident.hankel import sketched_block_rank, sketched_rank
 from hmpident.identify import max_states_cap
 from hmpident.tolerances import DEFAULT_TOLERANCES
 from conftest import near_degenerate_params
@@ -19,10 +19,12 @@ def uniform_distribution(n, seed):
     return hi.StringDistribution(n, table / table.sum())
 
 
+def balanced_shapes(n):
+    return sorted({(n // 2, (n + 1) // 2), ((n + 1) // 2, n // 2)})
+
+
 def balanced_blocks(dist):
-    n = dist.n
-    shapes = {(n // 2, (n + 1) // 2), ((n + 1) // 2, n // 2)}
-    return [hi.hankel_block(dist, m, k) for m, k in sorted(shapes)]
+    return [hi.hankel_block(dist, m, k) for m, k in balanced_shapes(dist.n)]
 
 
 def rank_both_ways(monkeypatch, block, cap):
@@ -65,6 +67,33 @@ def exact_reports(d, n, seed):
     """numerical_rank of each balanced block of a sweep's table; d None is a uniform table."""
     dist = uniform_distribution(n, seed) if d is None else generator_distribution(d, n, seed)
     return tuple(hankel.numerical_rank(block) for block in balanced_blocks(dist))
+
+
+def streamed_and_dense(dist, cap):
+    """(streamed, dense) sketched reports of each balanced block of dist."""
+    margs = hankel._marginals(dist, dist.n)
+    return [(sketched_block_rank(margs, m, k, cap), sketched_rank(hi.hankel_block(dist, m, k), cap))
+            for m, k in balanced_shapes(dist.n)]
+
+
+@pytest.mark.parametrize("d", [*range(1, 9), None])
+def test_streamed_sketch_agrees_with_the_dense_one(d):
+    for n, seed in SWEEPS[d]:
+        dist = uniform_distribution(n, seed) if d is None else generator_distribution(d, n, seed)
+        for streamed, dense in streamed_and_dense(dist, max_states_cap(n)):
+            assert_same_answer(streamed, dense)
+            # the same sketch, summed in another order
+            assert streamed.singular_values.shape == dense.singular_values.shape
+            assert np.allclose(streamed.singular_values, dense.singular_values,
+                               rtol=1e-9, atol=1e-12 * dense.singular_values[0])
+
+
+@pytest.mark.parametrize("gap", [1e-9, 5e-8, 1e-6])
+@pytest.mark.parametrize("n", [13, 15])
+def test_streamed_sketch_agrees_with_the_dense_one_near_degenerate(gap, n):
+    dist = hi.full_distribution(near_degenerate_params(gap), n)
+    for streamed, dense in streamed_and_dense(dist, max_states_cap(n)):
+        assert_same_answer(streamed, dense)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
@@ -183,17 +212,31 @@ def test_residual_refuses_what_the_sketch_misses(monkeypatch):
     # the tail of 3e-11 instead, so only the residual bound shows the doubt
     sigma = np.full(800, 3e-11)
     sigma[:2] = 1.0, 2e-10
-    residuals = []
-    original = hankel._residual_norm
-
-    def recorded(a, q, b):
-        residuals.append(original(a, q, b))
-        return residuals[-1]
-
-    monkeypatch.setattr(hankel, "_residual_norm", recorded)
+    a = np.diag(sigma)
+    q = np.linalg.qr(a @ np.random.default_rng(0).standard_normal((800, 3)))[0]
+    s = np.linalg.svd(q.T @ a, compute_uv=False)
+    assert s[1] < 1e-10 * s[0] and np.linalg.norm(a - q @ (q.T @ a)) > 1e-10
     ranked = count_ranked_shapes(monkeypatch)
-    report = sketched_rank(np.diag(sigma), 1)
-    assert len(residuals) == 1 and residuals[0] > 1e-10
+    report = sketched_rank(a, 1)
+    assert ranked == [(800, 800)]
+    assert (report.rank, report.confident) == (1, False)
+
+
+def test_residual_is_summed_over_every_piece(monkeypatch):
+    # sigma_2 = 2e-10 sits in the band and the 3-column sketch misses it, as
+    # above, but the spectrum is spread over all 800 rows: handed one row at a
+    # time, no row's residual reaches the band, only their sum does
+    rng = np.random.default_rng(1)
+    u, v = (np.linalg.qr(rng.standard_normal((800, 800)))[0] for _ in range(2))
+    sigma = np.full(800, 1e-11)
+    sigma[:2] = 1.0, 2e-10
+    a = (u * sigma) @ v.T
+    q = np.linalg.qr(a @ np.random.default_rng(0).standard_normal((800, 3)))[0]
+    residual = a - q @ (q.T @ a)
+    assert np.linalg.norm(residual, axis=1).max() < 5e-11 < 2e-10 < np.linalg.norm(residual)
+    rows = [(slice(i, i + 1), slice(None), a[i:i + 1]) for i in range(800)]
+    ranked = count_ranked_shapes(monkeypatch)
+    report = hankel._sketched(a.shape, rows, lambda: a, 1, None)
     assert ranked == [(800, 800)]
     assert (report.rank, report.confident) == (1, False)
 
