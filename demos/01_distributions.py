@@ -25,10 +25,11 @@ table = np.einsum("i,j,k->ijk", bits, bits, bits).ravel()
 biased = hi.StringDistribution(3, table)
 print("\nbiased iid p(000) =", biased.prob("000"), " expected", rho ** 3)
 
-# marginals telescope: summing out the last symbol recovers the shorter table
-for length in (3, 2, 1, 0):
-    marg = hi.marginalize(biased, length)
+# marginals telescope: summing out the last symbol recovers the shorter table;
+# marginals() lists them by length, and marginalize() reads one of them
+for length, marg in reversed(list(enumerate(hi.marginals(biased)))):
     print(f"length-{length} marginal sums to {marg.sum():.15f}")
+print("marginalize(biased, 1) =", hi.marginalize(biased, 1))
 
 # stationarity compares the law of the first n-1 symbols with the last n-1
 print("\nfair coin stationary:", hi.is_stationary(coin))

@@ -52,7 +52,7 @@ show("emission gap 5e-8 at n=3", hi.full_distribution(nd, 3))
 
 # the recovery fiber: reordering eigenvalues permutes the states, nothing else
 dist = hi.full_distribution(gen, 5)
-fp = hi.infer_finitary(hi.hankel_block(dist, 3, 2), 3)
+fp = hi.infer_finitary(hi.hankel_block(hi.marginals(dist), 3, 2), 3)
 canon = hi.recover_hmm(fp)
 print("\ncanonical emission column:", np.round(canon.params.emission[:, 0], 6))
 for perm in [(1, 0, 2), (2, 1, 0)]:

@@ -11,10 +11,10 @@ import hmpident as hi
 
 
 def both_routes(name, dist, d):
-    n = dist.n
-    reports = [hi.numerical_rank(hi.hankel_block(dist, d - 1, d - 1)),
-               hi.numerical_rank(hi.hankel_block(dist, n // 2, (n + 1) // 2)),
-               hi.numerical_rank(hi.hankel_block(dist, (n + 1) // 2, n // 2))]
+    n, margs = dist.n, hi.marginals(dist)
+    reports = [hi.numerical_rank(hi.hankel_block(margs, d - 1, d - 1)),
+               hi.numerical_rank(hi.hankel_block(margs, n // 2, (n + 1) // 2)),
+               hi.numerical_rank(hi.hankel_block(margs, (n + 1) // 2, n // 2))]
     svd_member = all(r.rank == d for r in reports)
     scan = hi.minor_membership(dist, d)
     print(f"\n{name}, d={d}")

@@ -15,9 +15,10 @@ also writes one JSON line per case there (index, n, kind, states, reason), so
   parameters in late digits can still show that no decision moved;
 - rank: rank, confidence and singular values of every block `hmpident rank`
   reports (P_(e-1,e-1) for e up to the cap, then the wide and tall blocks).
-  Here every block is its own hankel_block array, while `hmpident rank`
-  reads the small blocks as corners of the wide block and ranks the one
-  balanced block once at even n, so this digest cross-checks that reuse;
+  Here every block is its own hankel_block array, built from the one
+  marginals(dist) list of its case, while `hmpident rank` reads the small
+  blocks as corners of the wide block and ranks the one balanced block once
+  at even n, so this digest cross-checks that reuse;
 - inference: for each e up to the cap, select_basis of the P_(e-1,e-1)
   corner of P_(e,e-1) and every field of infer_finitary_detailed given that
   same P_(e,e-1) block, or the exception each one raises.  identify passes
@@ -111,6 +112,7 @@ def main():
         cases += 1
         check_reload(dist, cases - 1)
         n, cap = dist.n, max_states_cap(dist.n)
+        margs = hi.marginals(dist)
         verdict = hi.identify(dist)
         verdicts.update(dumps(verdict_to_jsonable(dist, verdict)).encode())
         feed(kinds, (verdict.kind, verdict.states))
@@ -119,9 +121,9 @@ def main():
         shapes = [(e - 1, e - 1) for e in range(1, cap + 1)]
         shapes += [(n // 2, (n + 1) // 2), ((n + 1) // 2, n // 2)]
         for m, k in shapes:
-            feed(ranks, hi.numerical_rank(hi.hankel_block(dist, m, k)))
+            feed(ranks, hi.numerical_rank(hi.hankel_block(margs, m, k)))
         for e in range(1, cap + 1):
-            block = hi.hankel_block(dist, e, e - 1)
+            block = hi.hankel_block(margs, e, e - 1)
             feed(inference, outcome(hi.select_basis, corner(block, e - 1, e - 1), e))
             feed(inference, outcome(hi.infer_finitary_detailed, block, e))
     if args.cases:

@@ -12,24 +12,32 @@ __version__ = "0.1.0"
 
 from .tolerances import ToleranceConfig, DEFAULT_TOLERANCES
 from .strings import check_binary, string_index, strings_of_length, strings_up_to
-from .distribution import (StringDistribution, validate, marginalize,
+from .distribution import (StringDistribution, validate, marginals, marginalize,
                            prefix_probability, is_stationary,
                            load_distribution, save_distribution)
 from .hmp import (HmpParams, split, string_probability,
                   full_distribution, vandermonde_example, random_stochastic,
                   permute_states, equivalent_up_to_permutation, validate_params,
                   load_params, save_params)
-from .hankel import RankReport, hankel_block, numerical_rank, select_basis
-from .finitary import (FinitaryParams, FinitaryInference, infer_finitary,
-                       infer_finitary_detailed, finitary_probability,
-                       process_constraint_residual)
-from .recover import (RecoveryOutcome, RecoveryDiagnostics, GenericityReport,
-                      recover_hmm, genericity_report,
-                      RECOVERED, NOT_GENERIC, NOT_STOCHASTIC)
-from .identify import (Verdict, TraceEntry, CertifyReport, identify, certify,
-                       verdict_to_jsonable, max_states_cap,
+from .hankel import hankel_block, numerical_rank, select_basis
+from .finitary import (FinitaryParams, infer_finitary, infer_finitary_detailed,
+                       finitary_probability, process_constraint_residual)
+from .recover import recover_hmm, genericity_report, RECOVERED, NOT_GENERIC, NOT_STOCHASTIC
+from .identify import (identify, certify, verdict_to_jsonable, max_states_cap,
                        HMP, NO_HMP, CANNOT_DECIDE)
-from .minors import MinorScanResult, minor_membership, minor_count
+from .minors import minor_membership, minor_count
 from . import errors
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ToleranceConfig", "DEFAULT_TOLERANCES", "check_binary", "string_index",
+    "strings_of_length", "strings_up_to", "StringDistribution", "validate", "marginals",
+    "marginalize", "prefix_probability", "is_stationary", "load_distribution",
+    "save_distribution", "HmpParams", "split", "string_probability", "full_distribution",
+    "vandermonde_example", "random_stochastic", "permute_states",
+    "equivalent_up_to_permutation", "validate_params", "load_params", "save_params",
+    "hankel_block", "numerical_rank", "select_basis", "FinitaryParams", "infer_finitary",
+    "infer_finitary_detailed", "finitary_probability", "process_constraint_residual",
+    "recover_hmm", "genericity_report", "RECOVERED", "NOT_GENERIC", "NOT_STOCHASTIC",
+    "identify", "certify", "verdict_to_jsonable", "max_states_cap", "HMP", "NO_HMP",
+    "CANNOT_DECIDE", "minor_membership", "minor_count", "errors",
+]

@@ -23,7 +23,7 @@ import json
 import sys
 
 from . import __version__
-from .distribution import load_distribution, save_distribution, validate
+from .distribution import load_distribution, marginals, save_distribution, validate
 from .hankel import corner, hankel_block, numerical_rank
 from .hmp import (equivalent_up_to_permutation, full_distribution, load_params,
                   random_stochastic, validate_params)
@@ -147,11 +147,12 @@ def cmd_rank(args) -> int:
     # the small blocks P_(e-1,e-1) are corners of the wide block, which at even n
     # is the tall block too; at odd n it is dropped before the tall one is built
     shapes = [(e - 1, e - 1) for e in range(1, max_states_cap(n) + 1)] + [(half, rest)]
-    wide = hankel_block(dist, half, rest)
+    margs = marginals(dist)
+    wide = hankel_block(margs, half, rest)
     reports = [numerical_rank(corner(wide, m, k), tol) for m, k in shapes]
     del wide
     shapes.append((rest, half))
-    reports.append(numerical_rank(hankel_block(dist, rest, half), tol) if n % 2 else reports[-1])
+    reports.append(numerical_rank(hankel_block(margs, rest, half), tol) if n % 2 else reports[-1])
     blocks = []
     for (m, k), report in zip(shapes, reports):
         blocks.append({"m": m, "k": k, "rank": report.rank,

@@ -10,8 +10,8 @@ built and inspected without passing validation first.
 A shorter string's probability is defined as p(u) = p(u0) + p(u1): every
 prefix marginal is the table with its last symbol summed out one step at a
 time.  That summation order is part of the definition, so the identity holds
-bit for bit between consecutive lengths, and a marginal of a given length is
-the same array however it was reached.
+bit for bit between consecutive lengths.  marginals() carries it out once for
+every length; marginalize() and every Hankel block read from that list.
 """
 from __future__ import annotations
 
@@ -99,23 +99,20 @@ def validate(dist: StringDistribution, tol: ToleranceConfig | None = None):
         raise SumNotOneError(f"table sums to {total}, not 1")
 
 
+def marginals(dist: StringDistribution) -> list:
+    """The prefix marginals of lengths 0..n, indexed by length: the read-only
+    table itself at n, and each shorter one the next with its last symbol
+    summed out, p(u) = p(u0) + p(u1), a flat array of size 2^length."""
+    margs = [dist.table]
+    for _ in range(dist.n):
+        margs.append(margs[-1][0::2] + margs[-1][1::2])
+    return margs[::-1]
+
+
 def marginalize(dist: StringDistribution, m: int) -> np.ndarray:
-    """Length-m prefix marginal p(u) = sum_w p(uw), as a flat array of size 2^m.
-
-    The last symbol is summed out n - m times, one step at a time, so
-    marginalize(dist, m) is bitwise _drop_last(marginalize(dist, m + 1)).  At
-    m = n this is the read-only table itself, not a copy.
-    """
+    """Length-m prefix marginal p(u) = sum_w p(uw): marginals(dist)[m]."""
     check_order("m", m, 0, dist.n)
-    marg = dist.table
-    for _ in range(dist.n - m):
-        marg = _drop_last(marg)
-    return marg
-
-
-def _drop_last(marg: np.ndarray) -> np.ndarray:
-    """The marginal one symbol shorter: p(u) = p(u0) + p(u1)."""
-    return marg[0::2] + marg[1::2]
+    return marginals(dist)[m]
 
 
 def prefix_probability(dist: StringDistribution, u: str) -> float:

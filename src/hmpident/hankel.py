@@ -8,10 +8,10 @@ strings_up_to(k).  So P_{p,m,k} is the leading (2^(m+1)-1) x (2^(k+1)-1)
 corner of any larger block, and row r followed by symbol a is row 2r+1+a.
 Each (lv, lw) sub-block is the length-(lv+lw) marginal reshaped to
 2^lv x 2^lw, since the concatenation index is iv * 2^lw + iw; one iterator
-yields these pieces, and a dense block is filled from it.  A block reads the
-table once: it takes the length-(m+k) marginal and halves it down to length
-0, summing out the last symbol at each step exactly as marginalize defines
-it, so entries of one length are the same bits in every block.  The rank of
+yields these pieces, and a dense block is filled from it.  Every block is
+read from the list distribution.marginals returns, so one pass over the
+table serves every block a caller builds, and entries of one length are the
+same bits in every block: hankel_block(marginals(dist), m, k).  The rank of
 these blocks is what separates processes generated by a small hidden state
 space from everything else, so rank estimation carries a confidence flag: a
 singular value sitting close to the cut means the decision should not be
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import StringDistribution, _drop_last, marginalize
 from .errors import LengthError, RankDeficientError, check_order
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
@@ -51,41 +50,28 @@ class RankReport:
     confident: bool
 
 
-def hankel_block(dist: StringDistribution, m: int, k: int) -> np.ndarray:
-    """Read-only block of all p(vw) with len(v) <= m, len(w) <= k."""
-    check_order("m", m, 0)
-    check_order("k", k, 0)
-    if m + k > dist.n:
-        raise LengthError(f"need m + k <= n: ({m}, {k}) vs n = {dist.n}")
-    return _block(_marginals(dist, m + k), m, k)
-
-
-def _marginals(dist: StringDistribution, length: int) -> list:
-    """The prefix marginals of lengths 0..length, indexed by length: the
-    longest is marginalize(dist, length) and each shorter one halves the next."""
-    margs = [marginalize(dist, length)]
-    for _ in range(length):
-        margs.append(_drop_last(margs[-1]))
-    return margs[::-1]
-
-
-def _sub_blocks(margs: list, m: int, k: int):
-    """(rows, columns, piece) for each (lv, lw) sub-block of P_{p,m,k}, given
-    the marginals of lengths 0..m+k; each piece is a view of one marginal."""
-    for lv in range(m + 1):
-        rows = slice(2 ** lv - 1, 2 ** (lv + 1) - 1)
-        for lw in range(k + 1):
-            yield (rows, slice(2 ** lw - 1, 2 ** (lw + 1) - 1),
-                   margs[lv + lw].reshape(2 ** lv, 2 ** lw))
-
-
-def _block(margs: list, m: int, k: int) -> np.ndarray:
-    """P_{p,m,k} filled from the marginals of lengths 0..m+k."""
+def hankel_block(margs: list, m: int, k: int) -> np.ndarray:
+    """Read-only block of all p(vw) with len(v) <= m, len(w) <= k, filled from
+    margs = marginals(dist), the marginals of lengths 0..n."""
+    if not isinstance(margs, list) or any(np.shape(a) != (2 ** i,) for i, a in enumerate(margs)):
+        raise LengthError("hankel_block reads the list of marginals(dist), lengths 0..n")
+    check_order("m", m, 0, len(margs) - 1)
+    check_order("k", k, 0, len(margs) - 1 - m)   # m + k <= n
     data = np.empty((2 ** (m + 1) - 1, 2 ** (k + 1) - 1))
     for rows, cols, piece in _sub_blocks(margs, m, k):
         data[rows, cols] = piece
     data.setflags(write=False)
     return data
+
+
+def _sub_blocks(margs: list, m: int, k: int):
+    """(rows, columns, piece) for each (lv, lw) sub-block of P_{p,m,k}, given
+    marginals(dist); each piece is a view of one marginal."""
+    for lv in range(m + 1):
+        rows = slice(2 ** lv - 1, 2 ** (lv + 1) - 1)
+        for lw in range(k + 1):
+            yield (rows, slice(2 ** lw - 1, 2 ** (lw + 1) - 1),
+                   margs[lv + lw].reshape(2 ** lv, 2 ** lw))
 
 
 def corner(block: np.ndarray, m: int, k: int) -> np.ndarray:
@@ -156,10 +142,10 @@ def sketched_rank(matrix, cap: int, tol: ToleranceConfig | None = None) -> RankR
 
 def sketched_block_rank(margs: list, m: int, k: int, cap: int,
                         tol: ToleranceConfig | None = None) -> RankReport:
-    """sketched_rank of P_{p,m,k}, read one sub-block at a time from the
-    marginals of lengths 0..m+k; only the exact fallback builds the block."""
+    """sketched_rank of P_{p,m,k}, read one sub-block at a time from
+    margs = marginals(dist); only the exact fallback builds the block."""
     return _sketched((2 ** (m + 1) - 1, 2 ** (k + 1) - 1), list(_sub_blocks(margs, m, k)),
-                     lambda: _block(margs, m, k), cap, tol)
+                     lambda: hankel_block(margs, m, k), cap, tol)
 
 
 def _sketched(shape: tuple, pieces: list, dense, cap: int, tol: ToleranceConfig | None) -> RankReport:

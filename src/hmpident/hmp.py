@@ -32,7 +32,7 @@ from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 FULL_TABLE_CAP = 24          # 2^24 doubles is the largest table we will expand
 PERMUTATION_SEARCH_CAP = 8   # d! comparisons; 8! = 40320 is still fine
-DET_FLOOR = 1e-10            # |det(A)| below DET_FLOOR * scale^d counts as singular
+DET_FLOOR = 1e-10            # |det(A)| below DET_FLOOR * rho(A)^d counts as singular
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,11 @@ def min_pairwise_gap(values: np.ndarray) -> float:
 
 
 def determinant_check(matrix: np.ndarray) -> tuple[float, bool]:
-    """det(matrix), and whether it clears DET_FLOOR * scale^d, scale the largest |entry|."""
+    """det(matrix), and whether it clears DET_FLOOR * rho^d, rho the spectral radius:
+    both are similarity invariants, so the test does not depend on the basis."""
     det = float(np.linalg.det(matrix))
-    scale = float(np.max(np.abs(matrix)))
-    return det, scale > 0.0 and abs(det) >= DET_FLOOR * scale ** len(matrix)
+    rho = float(np.max(np.abs(np.linalg.eigvals(matrix)))) if np.isfinite(det) else 0.0
+    return det, rho > 0.0 and abs(det) >= DET_FLOOR * rho ** len(matrix)
 
 
 def split(params: HmpParams) -> FinitaryParams:

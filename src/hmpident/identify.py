@@ -4,8 +4,8 @@ The distribution is an HMP on e states exactly when three Hankel blocks all
 have rank e: the small block P_{p,e-1,e-1} and the two balanced blocks
 P_{p,floor(n/2),ceil(n/2)} and P_{p,ceil(n/2),floor(n/2)}.  The balanced ranks
 do not depend on e, so only e = rank of the wide block can match.  A verdict
-takes the prefix marginals of every length once, the table itself at length
-n, and reads every block from them.  The balanced ranks come from
+takes marginals(dist) once and reads both balanced sketches and the one
+block it builds from that list.  The balanced ranks come from
 sketched_block_rank, which sketches each balanced block sub-block by
 sub-block from the marginals, so neither is built unless its exact fallback
 needs it; at even n the two balanced blocks are one, ranked once.  It asks
@@ -27,11 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .distribution import StringDistribution, validate
+from .distribution import StringDistribution, marginals, validate
 from .errors import (DegenerateNormalizationError, RankDeficientError,
                      WrongVerdictError, check_order)
 from .finitary import infer_finitary
-from .hankel import (RankReport, _block, _marginals, corner, numerical_rank,
+from .hankel import (RankReport, corner, hankel_block, numerical_rank,
                      sketched_block_rank)
 from .hmp import HmpParams, full_distribution, params_to_jsonable
 from .recover import NOT_STOCHASTIC, RECOVERED, RecoveryOutcome, recover_hmm
@@ -80,7 +80,7 @@ def identify(dist: StringDistribution, max_states: int | None = None,
     max_states = cap if max_states is None else max_states
     check_order("max_states", max_states, 1, cap)
 
-    margs = _marginals(dist, n)
+    margs = marginals(dist)
     wide = sketched_block_rank(margs, n // 2, (n + 1) // 2, cap, tol)
     # at even n the two balanced blocks are one
     tall = sketched_block_rank(margs, (n + 1) // 2, n // 2, cap, tol) if n % 2 else wide
@@ -96,7 +96,7 @@ def identify(dist: StringDistribution, max_states: int | None = None,
     if e != tall.rank or not 1 <= e <= max_states:
         note = f"rank pattern not met: ranks wide {e}, tall {tall.rank}; max_states {max_states}"
         return decided(NO_HMP, max_states, no_fit, note)
-    block = _block(margs, e, e - 1)
+    block = hankel_block(margs, e, e - 1)
     small = numerical_rank(corner(block, e - 1, e - 1), tol)
     if not small.confident:
         return decided(CANNOT_DECIDE, e, "borderline rank", small=small)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import StringDistribution
+from .distribution import StringDistribution, marginals
 from .errors import LengthError, TooManyMinorsError, check_order
 from .hankel import corner, hankel_block
 
@@ -67,9 +67,10 @@ def _max_abs_minor(matrix: np.ndarray, k: int) -> float:
 def minor_membership(dist: StringDistribution, d: int, tol: float = 1e-9) -> MinorScanResult:
     n = dist.n
     check_order("d", d, 1, (n + 1) // 2)   # n >= 2d-1, so d-1 <= n // 2
-    wide = hankel_block(dist, n // 2, (n + 1) // 2)
+    margs = marginals(dist)
+    wide = hankel_block(margs, n // 2, (n + 1) // 2)
     # at even n the two balanced blocks are one block, built and scanned once
-    big = [wide, hankel_block(dist, (n + 1) // 2, n // 2)] if n % 2 else [wide]
+    big = [wide, hankel_block(margs, (n + 1) // 2, n // 2)] if n % 2 else [wide]
     small = corner(wide, d - 1, d - 1)
 
     def safe_count(block, k):

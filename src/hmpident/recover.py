@@ -11,6 +11,10 @@ which eigenvalues are listed.  Failure of any genericity condition along the
 way is reported as NotGeneric; a successful change of basis whose result is
 not a stochastic parametrization is reported as NotStochastic, which proves
 the input distribution is not an HMP of this dimension.
+
+Invertibility is tested as in genericity_report, and without reference to
+the basis: |det(T0+T1)| >= DET_FLOOR * rho^e, rho the spectral radius.  For
+the hidden-state M, which is stochastic, rho = 1: the test is |det M| >= 1e-10.
 """
 from __future__ import annotations
 

@@ -80,9 +80,9 @@ def test_criterion_3_vandermonde_moment_structure():
 
 def _minor_scan_confident(result, dist, d, tol=1e-9):
     n = dist.n
-    wide = hi.hankel_block(dist, n // 2, (n + 1) // 2)
-    tall = hi.hankel_block(dist, (n + 1) // 2, n // 2)
-    small = hi.hankel_block(dist, d - 1, d - 1)
+    wide = hi.hankel_block(hi.marginals(dist), n // 2, (n + 1) // 2)
+    tall = hi.hankel_block(hi.marginals(dist), (n + 1) // 2, n // 2)
+    small = hi.hankel_block(hi.marginals(dist), d - 1, d - 1)
     big_thr = tol * max(np.abs(wide).max(), np.abs(tall).max()) ** (d + 1)
     small_thr = tol * np.abs(small).max() ** d
     clear = lambda value, thr: not (thr / 10.0 <= value <= thr * 10.0)
@@ -109,9 +109,9 @@ def test_criterion_4_minor_svd_rank_agreement():
     compared = disagreements = 0
     for dist in dists:
         for d in (1, 2):
-            reports = [hi.numerical_rank(hi.hankel_block(dist, d - 1, d - 1)),
-                       hi.numerical_rank(hi.hankel_block(dist, 1, 2)),
-                       hi.numerical_rank(hi.hankel_block(dist, 2, 1))]
+            reports = [hi.numerical_rank(hi.hankel_block(hi.marginals(dist), d - 1, d - 1)),
+                       hi.numerical_rank(hi.hankel_block(hi.marginals(dist), 1, 2)),
+                       hi.numerical_rank(hi.hankel_block(hi.marginals(dist), 2, 1))]
             scan = hi.minor_membership(dist, d)
             if not all(r.confident for r in reports):
                 continue
@@ -131,7 +131,7 @@ def test_criterion_5_iid_rank_one():
         dist = hi.full_distribution(bernoulli_params(float(rho)), 5)
         for m in range(6):
             for k in range(6 - m):
-                report = hi.numerical_rank(hi.hankel_block(dist, m, k))
+                report = hi.numerical_rank(hi.hankel_block(hi.marginals(dist), m, k))
                 assert report.rank == 1 and report.confident
         verdict = hi.identify(dist)
         assert verdict.kind == hi.HMP and verdict.states == 1
@@ -141,7 +141,7 @@ def test_criterion_5_iid_rank_one():
 
 def test_criterion_6_negative_control():
     dist = control_distribution()
-    sigma = np.linalg.svd(hi.hankel_block(dist, 1, 2), compute_uv=False)
+    sigma = np.linalg.svd(hi.hankel_block(hi.marginals(dist), 1, 2), compute_uv=False)
     assert int(np.count_nonzero(sigma > 1e-9 * sigma[0])) == 3   # direct SVD oracle
     verdict = hi.identify(dist)
     assert verdict.kind == hi.NO_HMP and verdict.states == 2
@@ -158,7 +158,7 @@ def test_criterion_7_fiber_permutations():
             continue
         kept += 1
         dist = hi.full_distribution(params, 5)
-        fp = hi.infer_finitary(hi.hankel_block(dist, 3, 2), 3)
+        fp = hi.infer_finitary(hi.hankel_block(hi.marginals(dist), 3, 2), 3)
         canon = hi.recover_hmm(fp)
         assert canon.kind == hi.RECOVERED
         for perm in itertools.permutations(range(3)):
@@ -183,7 +183,7 @@ def test_criterion_8_process_invariants():
             left = hi.marginalize(dist, length)
             right = hi.marginalize(dist, length + 1).reshape(-1, 2).sum(axis=1)
             assert np.max(np.abs(left - right)) <= 1e-12
-        inf = hi.infer_finitary_detailed(hi.hankel_block(dist, d, d - 1), d)
+        inf = hi.infer_finitary_detailed(hi.hankel_block(hi.marginals(dist), d, d - 1), d)
         assert hi.process_constraint_residual(inf.params) <= 1e-10
         fixed = (inf.raw_t0 + inf.raw_t1) @ inf.y - inf.y
         assert np.max(np.abs(fixed)) <= 1e-8

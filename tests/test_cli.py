@@ -147,7 +147,7 @@ def test_rank_command_report(tmp_path, capsys, n):
     # byte for byte what ranking each block built on its own writes
     expected = []
     for m, k, *_ in RANK_BLOCKS[n]:
-        report = hi.numerical_rank(hi.hankel_block(dist, m, k))
+        report = hi.numerical_rank(hi.hankel_block(hi.marginals(dist), m, k))
         expected.append({"m": m, "k": k, "rank": report.rank, "confident": report.confident,
                          "singular_values": [float(s) for s in report.singular_values]})
     write_json({"n": n, "blocks": expected}, tmp_path / "expected.json")

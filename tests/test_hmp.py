@@ -6,7 +6,7 @@ from hmpident.errors import (AlphabetError, CapExceededError,
                              DimensionMismatchError, DuplicateEigenvalueError,
                              InvalidParamsError, InvalidPermutationError,
                              StateCountTooLargeError)
-from hmpident.hmp import params_from_jsonable
+from hmpident.hmp import determinant_check, params_from_jsonable
 from conftest import fair_coin_params
 
 
@@ -327,3 +327,14 @@ def test_params_integer_entries_stay_valid():
     assert params.transition.dtype == float
     assert np.array_equal(params.transition, np.eye(2))
     hi.validate_params(params)
+
+
+def test_determinant_check_does_not_depend_on_the_basis():
+    m = hi.random_stochastic(9, 0).transition
+    s = np.diag(10.0 ** np.arange(-4, 5))
+    det, invertible = determinant_check(m)
+    moved_det, moved_invertible = determinant_check(s @ m @ np.linalg.inv(s))
+    assert invertible and moved_invertible
+    assert moved_det == pytest.approx(det, rel=1e-6)
+    singular = np.full((3, 3), 1.0 / 3.0)
+    assert not determinant_check(s[:3, :3] @ singular @ np.linalg.inv(s[:3, :3]))[1]

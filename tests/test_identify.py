@@ -164,11 +164,10 @@ def wrap_in_package(monkeypatch, original, wrapper):
 
 
 def count_block_builds(monkeypatch):
-    """Wrap hankel._block, which fills every dense block, wherever the package
-    holds it; returns the list of (m, k) built, by hankel_block or from a
-    verdict's marginals."""
+    """Wrap hankel.hankel_block, which fills every dense block, wherever the
+    package holds it; returns the list of (m, k) built."""
     built = []
-    original = hankel._block
+    original = hankel.hankel_block
 
     def counted(margs, m, k):
         built.append((m, k))
@@ -237,7 +236,7 @@ def test_even_n_builds_and_ranks_the_balanced_block_once(monkeypatch):
 def test_identify_holds_less_than_one_balanced_block(n):
     # the balanced blocks are sketched from the marginals, never built
     dist = hi.full_distribution(hi.random_stochastic(6, 1), n)
-    block_bytes = hi.hankel_block(dist, n // 2, (n + 1) // 2).nbytes
+    block_bytes = hi.hankel_block(hi.marginals(dist), n // 2, (n + 1) // 2).nbytes
     tracemalloc.start()
     try:
         verdict = hi.identify(dist)

@@ -85,9 +85,9 @@ def test_agreement_with_svd_rank():
     ]
     for dist, d, expected in cases:
         n = dist.n
-        ranks = [hi.numerical_rank(hi.hankel_block(dist, d - 1, d - 1)),
-                 hi.numerical_rank(hi.hankel_block(dist, n // 2, (n + 1) // 2)),
-                 hi.numerical_rank(hi.hankel_block(dist, (n + 1) // 2, n // 2))]
+        ranks = [hi.numerical_rank(hi.hankel_block(hi.marginals(dist), d - 1, d - 1)),
+                 hi.numerical_rank(hi.hankel_block(hi.marginals(dist), n // 2, (n + 1) // 2)),
+                 hi.numerical_rank(hi.hankel_block(hi.marginals(dist), (n + 1) // 2, n // 2))]
         assert all(r.confident for r in ranks)
         svd_member = all(r.rank == d for r in ranks)
         result = hi.minor_membership(dist, d)

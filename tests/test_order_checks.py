@@ -8,14 +8,15 @@ from hmpident.errors import LengthError
 from conftest import fair_coin_distribution, fair_coin_params
 
 DIST = fair_coin_distribution(3)
+MARGS = hi.marginals(DIST)
 PARAMS = fair_coin_params()
 
 
 @pytest.mark.parametrize("fn, args, name, value", [
     (hi.marginalize, (DIST, 2.5), "m", 2.5),
     (hi.marginalize, (DIST, True), "m", True),
-    (hi.hankel_block, (DIST, 1.5, 1), "m", 1.5),
-    (hi.hankel_block, (DIST, 1, True), "k", True),
+    (hi.hankel_block, (MARGS, 1.5, 1), "m", 1.5),
+    (hi.hankel_block, (MARGS, 1, True), "k", True),
     (hi.identify, (DIST, True), "max_states", True),
     (hi.identify, (DIST, 2.0), "max_states", 2.0),
     (hi.infer_finitary, (DIST, 0), "e", 0),

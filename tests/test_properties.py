@@ -78,7 +78,7 @@ def test_hankel_factorization_of_hmp():
     params = hi.random_stochastic(2, 44)
     ops = hi.split(params)
     dist = hi.full_distribution(params, 4)
-    block = hi.hankel_block(dist, 2, 2)
+    block = hi.hankel_block(hi.marginals(dist), 2, 2)
 
     def op_product(v):
         out = np.eye(2)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -11,7 +12,7 @@ def recover_from(params, n=None, e=None):
     e = e or params.d
     n = n or 2 * e - 1
     dist = hi.full_distribution(params, n)
-    return hi.recover_hmm(hi.infer_finitary(hi.hankel_block(dist, e, e - 1), e))
+    return hi.recover_hmm(hi.infer_finitary(hi.hankel_block(hi.marginals(dist), e, e - 1), e))
 
 
 def test_round_trip_two_state_mixture():
@@ -45,7 +46,7 @@ def test_recovered_states_in_canonical_order():
 def test_eigenvalue_reorder_is_state_permutation():
     params = hi.random_stochastic(3, 40)
     dist = hi.full_distribution(params, 5)
-    fp = hi.infer_finitary(hi.hankel_block(dist, 3, 2), 3)
+    fp = hi.infer_finitary(hi.hankel_block(hi.marginals(dist), 3, 2), 3)
     canon = hi.recover_hmm(fp)
     assert canon.kind == hi.RECOVERED
     for perm in itertools.permutations(range(3)):
@@ -135,3 +136,44 @@ def test_genericity_report_cases():
                             np.array([0.5, 0.5]))
     report = hi.genericity_report(singular)
     assert not report.generic and abs(report.det_transition) < 1e-12
+
+
+# random_stochastic(9, s) at n = 17, s < 30, that came back "M not invertible"
+# while the floor scaled with the largest |entry| of T0 + T1, a figure of the
+# basis inference returns rather than of M; seeds 13 and 16 are borderline
+# rank, 21 was hmp already, and seed 9 has det M = 2.3e-11
+BASIS_BOUND_SEEDS = tuple(s for s in range(30) if s not in (9, 13, 16, 21))
+
+
+@functools.lru_cache(maxsize=None)
+def nine_states(seed):
+    """(params, verdict) of random_stochastic(9, seed) at n = 17."""
+    params = hi.random_stochastic(9, seed)
+    return params, hi.identify(hi.full_distribution(params, 17))
+
+
+def by_emission(params):
+    return hi.permute_states(params, np.argsort(params.emission[:, 0]))
+
+
+def test_invertibility_does_not_depend_on_the_basis():
+    for seed in BASIS_BOUND_SEEDS:
+        params, verdict = nine_states(seed)
+        assert (verdict.kind, verdict.states) == (hi.HMP, 9), seed
+        assert hi.certify(hi.full_distribution(params, 17), verdict).passed
+        # the permutation search stops at d = 8: match states by emission order
+        found, true = by_emission(verdict.params), by_emission(params)
+        for a, b in ((found.transition, true.transition), (found.emission, true.emission),
+                     (found.initial, true.initial)):
+            assert np.max(np.abs(a - b)) <= 1e-6, seed
+
+
+def test_genericity_report_agrees_with_recovery():
+    for seed in BASIS_BOUND_SEEDS + (9,):
+        params, verdict = nine_states(seed)
+        outcome = verdict.trace[0].recovery
+        report = hi.genericity_report(params)
+        assert report.generic == (outcome.kind == hi.RECOVERED), seed
+        if seed == 9:
+            assert outcome.reason == "M not invertible"
+            assert abs(report.det_transition) < 1e-10 and not report.generic

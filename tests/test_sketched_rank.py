@@ -24,7 +24,8 @@ def balanced_shapes(n):
 
 
 def balanced_blocks(dist):
-    return [hi.hankel_block(dist, m, k) for m, k in balanced_shapes(dist.n)]
+    margs = hi.marginals(dist)
+    return [hi.hankel_block(margs, m, k) for m, k in balanced_shapes(dist.n)]
 
 
 def rank_both_ways(monkeypatch, block, cap):
@@ -71,8 +72,8 @@ def exact_reports(d, n, seed):
 
 def streamed_and_dense(dist, cap):
     """(streamed, dense) sketched reports of each balanced block of dist."""
-    margs = hankel._marginals(dist, dist.n)
-    return [(sketched_block_rank(margs, m, k, cap), sketched_rank(hi.hankel_block(dist, m, k), cap))
+    margs = hi.marginals(dist)
+    return [(sketched_block_rank(margs, m, k, cap), sketched_rank(hi.hankel_block(margs, m, k), cap))
             for m, k in balanced_shapes(dist.n)]
 
 
@@ -155,7 +156,7 @@ def test_identify_takes_the_certified_path(monkeypatch):
 
 
 def test_uniform_table_is_certified_above_the_cap(monkeypatch):
-    block = hi.hankel_block(uniform_distribution(13, 0), 6, 7)
+    block = hi.hankel_block(hi.marginals(uniform_distribution(13, 0)), 6, 7)
     ranked = count_ranked_shapes(monkeypatch)
     report = sketched_rank(block, max_states_cap(13))
     assert ranked == []
@@ -200,7 +201,7 @@ def test_band_value_past_cap_plus_one_is_ignored(monkeypatch):
 
 def test_borderline_block_falls_back(monkeypatch):
     # the gap-1e-9 rank-2 signal sits inside the confidence band
-    block = hi.hankel_block(hi.full_distribution(near_degenerate_params(1e-9), 13), 6, 7)
+    block = hi.hankel_block(hi.marginals(hi.full_distribution(near_degenerate_params(1e-9), 13)), 6, 7)
     ranked = count_ranked_shapes(monkeypatch)
     report = sketched_rank(block, max_states_cap(13))
     assert ranked == [(127, 255)]
@@ -243,7 +244,7 @@ def test_residual_is_summed_over_every_piece(monkeypatch):
 
 def test_certified_report_holds_lower_brackets_of_the_spectrum(monkeypatch):
     n = 15
-    block = hi.hankel_block(hi.full_distribution(hi.random_stochastic(4, 2), n), 7, 8)
+    block = hi.hankel_block(hi.marginals(hi.full_distribution(hi.random_stochastic(4, 2), n)), 7, 8)
     sketched, exact, fell_back = rank_both_ways(monkeypatch, block, max_states_cap(n))
     assert not fell_back and (sketched.rank, sketched.confident) == (4, True)
     sketch = max_states_cap(n) + 2
@@ -254,14 +255,14 @@ def test_certified_report_holds_lower_brackets_of_the_spectrum(monkeypatch):
 
 
 def test_deterministic():
-    block = hi.hankel_block(hi.full_distribution(hi.random_stochastic(5, 3), 15), 7, 8)
+    block = hi.hankel_block(hi.marginals(hi.full_distribution(hi.random_stochastic(5, 3), 15)), 7, 8)
     first, second = sketched_rank(block, 8), sketched_rank(block, 8)
     assert (first.rank, first.confident) == (second.rank, second.confident)
     assert np.array_equal(first.singular_values, second.singular_values)
 
 
 def test_small_blocks_take_the_exact_path(monkeypatch):
-    block = hi.hankel_block(hi.full_distribution(hi.random_stochastic(3, 1), 9), 4, 5)
+    block = hi.hankel_block(hi.marginals(hi.full_distribution(hi.random_stochastic(3, 1), 9)), 4, 5)
     assert min(block.shape) == hankel.EXACT_MAX_SIDE
     ranked = count_ranked_shapes(monkeypatch)
     report = sketched_rank(block, max_states_cap(9))
@@ -270,13 +271,13 @@ def test_small_blocks_take_the_exact_path(monkeypatch):
 
 
 def test_cap_must_be_positive():
-    block = hi.hankel_block(uniform_distribution(13, 0), 6, 7)
+    block = hi.hankel_block(hi.marginals(uniform_distribution(13, 0)), 6, 7)
     with pytest.raises(LengthError):
         sketched_rank(block, 0)
 
 
 def test_sketch_wider_than_the_block_takes_the_exact_path(monkeypatch):
-    block = hi.hankel_block(uniform_distribution(13, 0), 6, 7)
+    block = hi.hankel_block(hi.marginals(uniform_distribution(13, 0)), 6, 7)
     ranked = count_ranked_shapes(monkeypatch)
     report = sketched_rank(block, 126)   # l = 128 columns against 127 rows
     assert ranked == [(127, 255)]
@@ -288,7 +289,7 @@ def test_not_a_public_name():
 
 
 def test_blocks_past_the_exact_side_are_sketched(monkeypatch):
-    block = hi.hankel_block(hi.full_distribution(hi.random_stochastic(3, 1), 11), 5, 6)
+    block = hi.hankel_block(hi.marginals(hi.full_distribution(hi.random_stochastic(3, 1), 11)), 5, 6)
     assert min(block.shape) == 2 * hankel.EXACT_MAX_SIDE + 1
     ranked = count_ranked_shapes(monkeypatch)
     report = sketched_rank(block, max_states_cap(11))
