@@ -29,6 +29,13 @@ from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 @dataclass(frozen=True)
 class StringDistribution:
+    """The 2^n-entry table of a distribution over binary strings of length n.
+
+    table is a read-only float64 array.  A 1-D read-only float64 table with
+    no negative entry is kept as given, not copied, so its owner must not
+    write to it through another view; full_distribution and
+    load_distribution hand over their fresh arrays that way.  Any other table
+    (writable, not float64, or with an entry to clamp) is copied first."""
     n: int
     table: np.ndarray
     tol: InitVar[ToleranceConfig | None] = None
@@ -46,10 +53,13 @@ class StringDistribution:
                 f"table must have exactly 2^{self.n} entries, got shape {raw.shape}")
         if raw.dtype.kind not in "iuf":   # a cast would drop imaginary parts or parse text
             raise NonFiniteError(f"table entries must be real numbers, got dtype {raw.dtype}")
-        table = raw.astype(float)
-        # floating-point noise from upstream arithmetic, not a real sign violation
-        table[(table >= -tol.tol_entry) & (table < 0.0)] = 0.0
-        table.setflags(write=False)
+        if raw.dtype == np.float64 and not raw.flags.writeable and not raw.min() < 0.0:
+            table = raw   # nothing to clamp, and no one writes to it through this array
+        else:
+            table = raw.astype(float)
+            # floating-point noise from upstream arithmetic, not a real sign violation
+            table[(table >= -tol.tol_entry) & (table < 0.0)] = 0.0
+            table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
     def prob(self, v: str) -> float:
@@ -81,20 +91,24 @@ class StringDistribution:
                 table[int(key, 2)] = p
             except OverflowError:   # an integer literal beyond the largest double
                 raise NonFiniteError(f"p({key}) is an integer too large for a double") from None
+        table.setflags(write=False)
         return cls(n, table, tol)
 
 
 def validate(dist: StringDistribution, tol: ToleranceConfig | None = None):
-    """Check entry range and unit sum; raise the first violated invariant."""
+    """Check entry range and unit sum; raise the first violated invariant.
+    The entries are screened by their min and max (a NaN fails both), and
+    only a table that fails the screen is scanned check by check."""
     tol = tol or DEFAULT_TOLERANCES
     table = dist.table
-    for bad, error, what in ((~np.isfinite(table), NonFiniteError, "is not finite"),
-                             (table < -tol.tol_entry, NegativeEntryError, "is negative"),
-                             (table > 1.0 + tol.tol_entry, EntryOutOfRangeError, "exceeds 1")):
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise error(f"p({string_name(i, dist.n)}) = {table[i]} {what}")
-    total = float(dist.table.sum())
+    if not (table.min() >= -tol.tol_entry and table.max() <= 1.0 + tol.tol_entry):
+        for bad, error, what in ((~np.isfinite(table), NonFiniteError, "is not finite"),
+                                 (table < -tol.tol_entry, NegativeEntryError, "is negative"),
+                                 (table > 1.0 + tol.tol_entry, EntryOutOfRangeError, "exceeds 1")):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise error(f"p({string_name(i, dist.n)}) = {table[i]} {what}")
+    total = float(table.sum())
     if abs(total - 1.0) > tol.tol_sum:
         raise SumNotOneError(f"table sums to {total}, not 1")
 
@@ -168,4 +182,5 @@ def load_distribution(path, tol: ToleranceConfig | None = None) -> StringDistrib
         table = np.array(entries, dtype=float)
     except OverflowError:   # an integer literal beyond the largest double
         raise NonFiniteError("table has an integer entry too large for a double") from None
+    table.setflags(write=False)   # handed over as it is, not copied
     return StringDistribution(n, table, tol)

@@ -7,11 +7,11 @@ string first: the rows are labelled by strings_up_to(m) and the columns by
 strings_up_to(k).  So P_{p,m,k} is the leading (2^(m+1)-1) x (2^(k+1)-1)
 corner of any larger block, and row r followed by symbol a is row 2r+1+a.
 Each (lv, lw) sub-block is the length-(lv+lw) marginal reshaped to
-2^lv x 2^lw, since the concatenation index is iv * 2^lw + iw; one iterator
-yields these pieces, and a dense block is filled from it.  Every block is
-read from the list distribution.marginals returns, so one pass over the
-table serves every block a caller builds, and entries of one length are the
-same bits in every block: hankel_block(marginals(dist), m, k).  The rank of
+2^lv x 2^lw, since the concatenation index is iv * 2^lw + iw, and a dense
+block is filled from these pieces.  Every block is read from the list
+distribution.marginals returns, so one pass over the table serves every
+block a caller builds, and entries of one length are the same bits in every
+block: hankel_block(marginals(dist), m, k).  The rank of
 these blocks is what separates processes generated by a small hidden state
 space from everything else, so rank estimation carries a confidence flag: a
 singular value sitting close to the cut means the decision should not be
@@ -20,9 +20,12 @@ answers the question a decision about at most cap states asks: the rank up
 to cap + 1, with the band tested on sigma_1..sigma_(cap+1) only.  It proves
 that answer from a seeded sketch when it can (a residual bound at rank at
 most cap + 1, the Frobenius norm above the cap), and otherwise reads
-numerical_rank's spectrum the same way.  The sketch reads a matrix piece by
-piece, so sketched_block_rank takes a block's sub-blocks straight from the
-marginals, and only its exact fallback materialises the block.
+numerical_rank's spectrum the same way.  Every shorter column group of a
+block is its length-k group with columns summed in pairs, so
+sketched_block_rank sketches P_{p,m,k} = T E_k: row group lv of T is the
+length-(lv+k) marginal reshaped to 2^lv x 2^k, and E_k adds each length-k
+column into its k + 1 prefixes.  The sketch reads T, half the block, and the
+norm sums the marginals; only the exact fallback materialises the block.
 """
 from __future__ import annotations
 
@@ -36,6 +39,7 @@ from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 EXACT_MAX_SIDE = 31                           # up to this short side the full SVD is the faster
 _ROUNDING = 64 * float(np.finfo(float).eps)   # per sqrt(column) and unit of sigma_max
+_CHUNK = 2 ** 16                              # entries per residual chunk, 512 KB: cache-sized
 
 
 @dataclass(frozen=True)
@@ -58,20 +62,12 @@ def hankel_block(margs: list, m: int, k: int) -> np.ndarray:
     check_order("m", m, 0, len(margs) - 1)
     check_order("k", k, 0, len(margs) - 1 - m)   # m + k <= n
     data = np.empty((2 ** (m + 1) - 1, 2 ** (k + 1) - 1))
-    for rows, cols, piece in _sub_blocks(margs, m, k):
-        data[rows, cols] = piece
+    for lv in range(m + 1):
+        for lw in range(k + 1):
+            data[2 ** lv - 1:2 ** (lv + 1) - 1, 2 ** lw - 1:2 ** (lw + 1) - 1] = \
+                margs[lv + lw].reshape(2 ** lv, 2 ** lw)
     data.setflags(write=False)
     return data
-
-
-def _sub_blocks(margs: list, m: int, k: int):
-    """(rows, columns, piece) for each (lv, lw) sub-block of P_{p,m,k}, given
-    marginals(dist); each piece is a view of one marginal."""
-    for lv in range(m + 1):
-        rows = slice(2 ** lv - 1, 2 ** (lv + 1) - 1)
-        for lw in range(k + 1):
-            yield (rows, slice(2 ** lw - 1, 2 ** (lw + 1) - 1),
-                   margs[lv + lw].reshape(2 ** lv, 2 ** lw))
 
 
 def corner(block: np.ndarray, m: int, k: int) -> np.ndarray:
@@ -131,54 +127,72 @@ def sketched_rank(matrix, cap: int, tol: ToleranceConfig | None = None) -> RankR
     Both carry a fixed rounding allowance, far below the band, so the rounding
     of the exact SVD cannot move its answer either.  A certified report's
     singular_values are the l lower brackets s, not the whole spectrum.  The
-    sketch needs only sums over sub-blocks: A Omega, Q^T A, ||A||_F and
-    ||A - Q B||_F; a dense matrix is the one-piece case.  Every other block
-    (short side at most EXACT_MAX_SIDE or l, a failed certificate) is
-    materialised and gets numerical_rank, read up to cap + 1 the same way.
+    sketch reads A = T E as its row groups T and a column map E: A Omega =
+    T (E Omega), Q^T A = (Q^T T) E, and ||A - Q B||_F = ||(T - Q Q^T T) E||_F
+    summed over row chunks of T; a dense matrix is the one-group case with E
+    the identity.  Every other block (short side at most EXACT_MAX_SIDE or l,
+    a failed certificate) is materialised and gets numerical_rank, read up to
+    cap + 1 the same way.
     """
     a = np.asarray(matrix, dtype=float)
-    return _sketched(a.shape, [(slice(None), slice(None), a)], lambda: a, cap, tol)
+    return _sketched([a], 0, float(np.vdot(a, a)), lambda: a, cap, tol)
 
 
 def sketched_block_rank(margs: list, m: int, k: int, cap: int,
                         tol: ToleranceConfig | None = None) -> RankReport:
-    """sketched_rank of P_{p,m,k}, read one sub-block at a time from
-    margs = marginals(dist); only the exact fallback builds the block."""
-    return _sketched((2 ** (m + 1) - 1, 2 ** (k + 1) - 1), list(_sub_blocks(margs, m, k)),
-                     lambda: hankel_block(margs, m, k), cap, tol)
+    """sketched_rank of P_{p,m,k} = T E_k, read from margs = marginals(dist):
+    row group lv of T is the length-(lv+k) marginal reshaped to 2^lv x 2^k,
+    and E_k adds each length-k column into the columns of its k + 1 prefixes,
+    so the column halvings of T are the shorter column groups of the block.
+    Only the exact fallback builds the block."""
+    groups = [margs[lv + k].reshape(2 ** lv, 2 ** k) for lv in range(m + 1)]
+    # ||P||_F^2: the length-L marginal fills one sub-block per lv + lw = L
+    norm2 = sum((min(length, m, k, m + k - length) + 1) * float(np.vdot(margs[length], margs[length]))
+                for length in range(m + k + 1))
+    return _sketched(groups, k, norm2, lambda: hankel_block(margs, m, k), cap, tol)
 
 
-def _sketched(shape: tuple, pieces: list, dense, cap: int, tol: ToleranceConfig | None) -> RankReport:
-    """sketched_rank of the matrix made of pieces (rows, columns, sub-block):
-    A Omega, Q^T A, ||A||_F and ||A - Q B||_F are sums over the pieces, and
-    dense() builds the whole matrix for the exact fallback."""
+def _halvings(x: np.ndarray, count: int) -> list:
+    """x and its first count column halvings, each x[:, 0::2] + x[:, 1::2] of the last."""
+    out = [x]
+    for _ in range(count):
+        out.append(out[-1][:, 0::2] + out[-1][:, 1::2])
+    return out
+
+
+def _sketched(groups: list, halvings: int, norm2: float, dense, cap: int,
+              tol: ToleranceConfig | None) -> RankReport:
+    """sketched_rank of A = T E: T is the row groups stacked, and E puts the
+    columns of T after its halvings, shortest first (the identity at 0
+    halvings); norm2 is ||A||_F^2, and dense() builds A for the exact fallback."""
     check_order("cap", cap, 1)
     tol = tol or DEFAULT_TOLERANCES
     sketch = cap + 2
-    if min(shape) > max(EXACT_MAX_SIDE, sketch):
-        omega = np.random.default_rng(0).standard_normal((shape[1], sketch))
-        y = np.zeros((shape[0], sketch))
-        norm2 = 0.0
-        for rows, cols, piece in pieces:
-            y[rows] += piece @ omega[cols]
-            norm2 += float(np.vdot(piece, piece))
-        q = np.linalg.qr(y)[0]
-        b = np.zeros((sketch, shape[1]))
-        for rows, cols, piece in pieces:
-            b[:, cols] += q[rows].T @ piece
-        s = np.linalg.svd(b, compute_uv=False)
+    width = groups[0].shape[1]
+    sizes = [width >> j for j in range(halvings, -1, -1)]   # column groups of A, shortest first
+    if min(sum(map(len, groups)), sum(sizes)) > max(EXACT_MAX_SIDE, sketch):
+        omega = np.split(np.random.default_rng(0).standard_normal((sum(sizes), sketch)),
+                         np.cumsum(sizes)[:-1])
+        e_omega = omega[0]
+        for part in omega[1:]:   # row x of E Omega sums the rows of x's prefixes
+            e_omega = np.repeat(e_omega, 2, axis=0) + part
+        y = np.vstack([t @ e_omega for t in groups])
+        q = np.split(np.linalg.qr(y)[0], np.cumsum(list(map(len, groups)))[:-1])   # as T's groups
+        c = sum(qt.T @ t for qt, t in zip(q, groups))
+        s = np.linalg.svd(np.hstack(_halvings(c, halvings)[::-1]), compute_uv=False)
         top = float(s[0])
         hi, lo = tol.gap_ratio * tol.rel_rank_tol, tol.rel_rank_tol / tol.gap_ratio
         rank = int(np.count_nonzero(s > hi * top))
-        allowance = _ROUNDING * math.sqrt(shape[1]) * top
+        allowance = _ROUNDING * math.sqrt(sum(sizes)) * top
         if rank > cap and s[cap] - allowance > hi * math.sqrt(norm2):
             return RankReport(cap + 1, s, True)
         if rank < sketch:   # a full-rank sketch brackets nothing below it
-            residual2 = 0.0
-            for rows, cols, piece in pieces:   # ||A - Q B||_F^2, one piece-sized temporary
-                residual = q[rows] @ b[:, cols]
-                residual -= piece
-                residual2 += float(np.vdot(residual, residual))
+            residual2, step = 0.0, max(1, _CHUNK // width)
+            for qt, t in zip(q, groups):   # ||(T - Q C) E||_F^2, chunk by chunk
+                for r in range(0, len(t), step):
+                    part = qt[r:r + step] @ c
+                    part -= t[r:r + step]
+                    residual2 += sum(float(np.vdot(x, x)) for x in _halvings(part, halvings))
             rho = math.sqrt(residual2) + allowance
             # r = 0 only when s = 0, and then s[r - 1] = s[-1] = 0 fails the first test
             if s[rank - 1] - rho > hi * (top + rho) and s[rank] + rho < lo * top:

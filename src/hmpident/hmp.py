@@ -147,7 +147,9 @@ def full_distribution(params: HmpParams, n: int) -> StringDistribution:
     bwd = np.ones((1, params.d))
     for _ in range(n - n // 2):   # string a w of length L sits at a 2^(L-1) + index(w)
         bwd = np.vstack([bwd @ ops.t0.T, bwd @ ops.t1.T])
-    return StringDistribution(n, (fwd @ bwd.T).reshape(-1))
+    table = (fwd @ bwd.T).reshape(-1)
+    table.setflags(write=False)   # handed over as it is, not copied
+    return StringDistribution(n, table)
 
 
 def vandermonde_example(d: int, lambdas) -> HmpParams:

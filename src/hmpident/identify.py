@@ -6,11 +6,12 @@ P_{p,floor(n/2),ceil(n/2)} and P_{p,ceil(n/2),floor(n/2)}.  The balanced ranks
 do not depend on e, so only e = rank of the wide block can match.  A verdict
 takes marginals(dist) once and reads both balanced sketches and the one
 block it builds from that list.  The balanced ranks come from
-sketched_block_rank, which sketches each balanced block sub-block by
-sub-block from the marginals, so neither is built unless its exact fallback
-needs it; at even n the two balanced blocks are one, ranked once.  It asks
-only what a decision on at most cap states needs: the rank up to cap + 1,
-with the confidence band tested on sigma_1..sigma_(cap+1).  It certifies that
+sketched_block_rank, which sketches each balanced block as A = T E_k from
+the marginals (T holds the length-k column group, E_k adds each column into
+its prefixes), so neither is built unless its exact fallback needs it; at
+even n the two balanced blocks are one, ranked once.  It asks only what a
+decision on at most cap states needs: the rank up to cap + 1, with the
+confidence band tested on sigma_1..sigma_(cap+1).  It certifies that
 answer from a sketch of cap + 2 columns, so a table of rank above the cap
 needs no full SVD, and falls back to the full SVD otherwise; a balanced rank
 above the cap is reported as cap + 1.  When they agree on an e up to

@@ -247,6 +247,43 @@ def test_load_rejects_malformed(tmp_path):
         hi.load_distribution(path)
 
 
+def test_a_read_only_float_table_is_kept_as_given(tmp_path):
+    table = np.full(8, 0.125)
+    table.setflags(write=False)
+    assert hi.StringDistribution(3, table).table is table
+    # the package's own table producers hand over read-only arrays
+    dist = hi.full_distribution(hi.random_stochastic(3, 1), 9)
+    assert not dist.table.flags.writeable and dist.table.dtype == np.float64
+    hi.save_distribution(dist, tmp_path / "d.json")
+    loaded = hi.load_distribution(tmp_path / "d.json").table
+    assert not loaded.flags.writeable and np.array_equal(loaded, dist.table)
+
+
+def test_writable_integer_or_clamped_tables_are_copied():
+    writable = np.full(4, 0.25)
+    dist = hi.StringDistribution(2, writable)
+    assert not np.shares_memory(dist.table, writable) and not dist.table.flags.writeable
+    writable[0] = 0.5
+    assert dist.table[0] == 0.25
+    assert hi.StringDistribution(1, np.array([0, 1])).table.dtype == np.float64
+    noisy = np.array([-1e-13, 1.0])
+    noisy.setflags(write=False)
+    dist = hi.StringDistribution(1, noisy)
+    assert dist.table[0] == 0.0 and noisy[0] == -1e-13
+
+
+@pytest.mark.parametrize("table, error, message", [
+    ([np.nan, -0.5, 2.0, 0.0], NonFiniteError, "p(00) = nan is not finite"),
+    ([0.5, -0.5, 2.0, -np.inf], NonFiniteError, "p(11) = -inf is not finite"),
+    ([0.5, 2.0, -0.5, 0.0], NegativeEntryError, "p(10) = -0.5 is negative"),
+    ([0.5, 0.25, 1.5, 0.0], EntryOutOfRangeError, "p(10) = 1.5 exceeds 1"),
+])
+def test_validate_reports_the_first_violated_check(table, error, message):
+    with pytest.raises(error) as caught:
+        hi.validate(hi.StringDistribution(2, np.array(table)))
+    assert str(caught.value) == message
+
+
 def test_validate_accepts_simulated_tables():
     for d in (1, 2, 3, 4):
         params = hi.random_stochastic(d, 17 + d)

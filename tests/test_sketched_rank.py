@@ -1,5 +1,6 @@
 """sketched_rank answers what numerical_rank answers read up to cap + 1, or asks it."""
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -235,11 +236,52 @@ def test_residual_is_summed_over_every_piece(monkeypatch):
     q = np.linalg.qr(a @ np.random.default_rng(0).standard_normal((800, 3)))[0]
     residual = a - q @ (q.T @ a)
     assert np.linalg.norm(residual, axis=1).max() < 5e-11 < 2e-10 < np.linalg.norm(residual)
-    rows = [(slice(i, i + 1), slice(None), a[i:i + 1]) for i in range(800)]
+    rows = [a[i:i + 1] for i in range(800)]
     ranked = count_ranked_shapes(monkeypatch)
-    report = hankel._sketched(a.shape, rows, lambda: a, 1, None)
+    report = hankel._sketched(rows, 0, float(np.vdot(a, a)), lambda: a, 1, None)
     assert ranked == [(800, 800)]
     assert (report.rank, report.confident) == (1, False)
+
+
+def test_residual_is_summed_over_every_row_chunk(monkeypatch):
+    # sigma_2 = 2e-10 sits in the band, and its right vector is orthogonal to
+    # the sketch's Omega, so only the residual shows it.  Its left vector is
+    # spread over all 2000 rows, and the residual is taken a chunk of rows at
+    # a time: no chunk's part of it reaches the band's floor, only their sum
+    rng = np.random.default_rng(1)
+    omega = np.random.default_rng(0).standard_normal((400, 3))   # the sketch's Omega at cap 1
+    v1 = rng.standard_normal(400)
+    v1 /= np.linalg.norm(v1)
+    v2 = np.linalg.qr(np.column_stack([omega, v1, rng.standard_normal(400)]))[0][:, 4]
+    u = np.linalg.qr(rng.standard_normal((2000, 2)))[0]
+    a = np.outer(u[:, 0], v1) + 2e-10 * np.outer(u[:, 1], v2)
+    a += 1e-13 / math.sqrt(2000) * rng.standard_normal((2000, 400))
+    q = np.linalg.qr(a @ omega)[0]
+    s = np.linalg.svd(q.T @ a, compute_uv=False)
+    residual = a - q @ (q.T @ a)
+    step = hankel._CHUNK // 400
+    chunks = [np.linalg.norm(residual[r:r + step]) for r in range(0, 2000, step)]
+    assert len(chunks) > 10
+    assert s[1] + max(chunks) < 1e-10 * s[0] < s[1] + np.linalg.norm(residual)
+    ranked = count_ranked_shapes(monkeypatch)
+    report = sketched_rank(a, 1)
+    assert ranked == [(2000, 400)]
+    assert (report.rank, report.confident) == (1, False)
+
+
+@pytest.mark.parametrize("n", range(9, 14))
+def test_column_halvings_of_each_row_group_are_the_block_columns(n):
+    # row group lv of T is the length-(lv+k) marginal as 2^lv x 2^k; halved j
+    # times it is the block's column group lw = k - j, bit for bit
+    margs = hi.marginals(generator_distribution(4, n, n))
+    for m, k in balanced_shapes(n):
+        block = hi.hankel_block(margs, m, k)
+        for lv in range(m + 1):
+            group = margs[lv + k].reshape(2 ** lv, 2 ** k)
+            rows = block[2 ** lv - 1:2 ** (lv + 1) - 1]
+            for j, halved in enumerate(hankel._halvings(group, k)):
+                lw = k - j
+                assert np.array_equal(halved, rows[:, 2 ** lw - 1:2 ** (lw + 1) - 1])
 
 
 def test_certified_report_holds_lower_brackets_of_the_spectrum(monkeypatch):
